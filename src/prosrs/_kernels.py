@@ -9,6 +9,12 @@ Selection happens once at import time:
 
 Both backends implement identical math; results agree to float64 rounding.
 ``scripts/bench_kernels.py`` times one against the other.
+
+The numpy ``min_dists`` works on blocks of ``BLOCK_ROWS`` query points at a
+time: it takes the minimum of each block's squared distances and one square
+root at the end, so its memory is O(BLOCK_ROWS * len(refs)) however many
+points are queried. sqrt is monotone and correctly rounded, so the result is
+the same as the minimum of the distances.
 """
 
 from __future__ import annotations
@@ -28,12 +34,37 @@ def _env_wants_numba() -> bool:
     )
 
 
+# Query rows evaluated at once by the row-blocked kernels: a block of
+# distances to n points takes BLOCK_ROWS * n doubles. A multiple of the row
+# groups that BLAS's matrix-vector kernels work in, so a blocked product
+# rounds as one product over all rows does, wherever BLAS also splits those
+# rows between its threads at such multiples.
+BLOCK_ROWS = 1024
+
+
+def row_blocks(n_rows: int) -> list:
+    """Slices that cover ``range(n_rows)`` in order, BLOCK_ROWS rows each.
+
+    A one-row remainder joins the block before it: numpy computes a one-row
+    matrix-vector product with a dot kernel, which rounds differently from
+    the matrix-vector kernel that the dense product uses for that row.
+    """
+    starts = list(range(0, n_rows, BLOCK_ROWS))
+    if n_rows > 1 and n_rows % BLOCK_ROWS == 1:
+        starts.pop()
+    bounds = starts + [n_rows]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 # ---------------------------------------------------------------------------
 # numpy backend
 # ---------------------------------------------------------------------------
 
 def _min_dists_numpy(points, refs):
-    return cdist(points, refs).min(axis=1)
+    out = np.empty(points.shape[0])
+    for block in row_blocks(points.shape[0]):
+        out[block] = cdist(points[block], refs, "sqeuclidean").min(axis=1)
+    return np.sqrt(out, out=out)
 
 
 def _update_min_dists_numpy(current, points, new_ref):
@@ -42,7 +73,11 @@ def _update_min_dists_numpy(current, points, new_ref):
 
 
 def _multiquadric_numpy(a, b):
-    return np.sqrt(1.0 + cdist(a, b, "sqeuclidean"))
+    # In place, so each call allocates one matrix: the row-blocked callers
+    # would otherwise page in fresh memory for every temporary of every block.
+    out = cdist(a, b, "sqeuclidean")
+    out += 1.0
+    return np.sqrt(out, out=out)
 
 
 NUMPY_IMPLS = {

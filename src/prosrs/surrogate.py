@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import multiquadric_matrix
+from ._kernels import multiquadric_matrix, row_blocks
 from .problem import BoxDomain, EvalDataset
 
 # 1e-8 .. 1e2, log-spaced, 11 points.
@@ -178,14 +178,21 @@ def predict(model: RbfSurrogate, x) -> float:
 
 
 def predict_batch(model: RbfSurrogate, X) -> np.ndarray:
-    """Evaluate the surrogate at row-stacked points in original coordinates."""
+    """Evaluate the surrogate at row-stacked points in original coordinates.
+
+    Rows are evaluated in fixed-size blocks, so the basis matrix held at any
+    time has at most ``_kernels.BLOCK_ROWS`` rows whatever the number of points.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.norm_record.dim:
         raise ValueError(
             f"points have dimension {X.shape[1]}, expected {model.norm_record.dim}"
         )
     u = model.norm_record.to_unit(X)
-    return multiquadric_matrix(u, model.centers) @ model.coefficients
+    out = np.empty(u.shape[0])
+    for block in row_blocks(u.shape[0]):
+        out[block] = multiquadric_matrix(u[block], model.centers) @ model.coefficients
+    return out
 
 
 def training_loss(model: RbfSurrogate, data: EvalDataset) -> float:

@@ -1,8 +1,10 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from prosrs import _kernels
 
@@ -67,6 +69,30 @@ class TestPublicWrappers:
         m = _kernels.multiquadric_matrix(a, a)
         np.testing.assert_allclose(np.diag(m), 1.0)
         assert np.all(m >= 1.0)
+
+
+class TestNumpyMinDistsBlocks:
+    B = _kernels.BLOCK_ROWS
+
+    @pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 3 * B + 7])
+    def test_matches_dense_min_bitwise(self, rows):
+        rng = np.random.default_rng(rows)
+        pts, refs = rng.normal(size=(rows, 7)), rng.normal(size=(53, 7))
+        np.testing.assert_array_equal(
+            _kernels.NUMPY_IMPLS["min_dists"](pts, refs), cdist(pts, refs).min(axis=1)
+        )
+
+    def test_peak_memory_does_not_grow_with_rows(self):
+        # A dense 100 000 x 400 distance matrix alone would take 305 MiB.
+        rng = np.random.default_rng(0)
+        pts, refs = rng.uniform(size=(100_000, 10)), rng.uniform(size=(400, 10))
+        tracemalloc.start()
+        try:
+            _kernels.NUMPY_IMPLS["min_dists"](pts, refs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
 
 def test_env_flag_disables_numba():

@@ -1,8 +1,11 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+from prosrs import _kernels
 from prosrs.problem import BoxDomain, EvalDataset
 from prosrs.surrogate import (
     DEFAULT_LAMBDA_GRID,
@@ -87,6 +90,36 @@ class TestPredict:
         m = self.model([[0.4]], [2.0])
         with pytest.raises(ValueError):
             predict(m, np.array([0.4, 0.2]))
+
+    @pytest.mark.skipif(_kernels.NUMBA_ENABLED, reason="reference is the numpy basis")
+    @pytest.mark.parametrize(
+        "rows",
+        [1, _kernels.BLOCK_ROWS - 1, _kernels.BLOCK_ROWS, _kernels.BLOCK_ROWS + 1,
+         3 * _kernels.BLOCK_ROWS + 7],
+    )
+    def test_blocked_rows_match_dense_product_bitwise(self, rows):
+        rng = np.random.default_rng(rows)
+        domain = BoxDomain(np.array([-2.0, 0.0, 1.0]), np.array([3.0, 0.5, 9.0]))
+        centers = rng.uniform(0, 1, size=(37, 3))
+        coef = rng.normal(size=37)
+        m = RbfSurrogate(centers, coef, 0.0, 0.0, domain)
+        X = domain.sample_uniform(rows, rng)
+        u = domain.to_unit(X)
+        want = np.sqrt(1 + cdist(u, centers, "sqeuclidean")) @ coef
+        np.testing.assert_array_equal(predict_batch(m, X), want)
+
+    def test_peak_memory_does_not_grow_with_rows(self):
+        # A dense 100 000 x 400 basis matrix alone would take 305 MiB.
+        rng = np.random.default_rng(0)
+        m = RbfSurrogate(rng.uniform(size=(400, 10)), rng.normal(size=400), 0.0, 0.0, unit_box(10))
+        X = rng.uniform(size=(100_000, 10))
+        tracemalloc.start()
+        try:
+            predict_batch(m, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
 
 class TestFit:
