@@ -55,10 +55,8 @@ from .zoomtree import (
     ZoomNode,
     ZoomTree,
     effective_n,
-    maybe_zoom_out,
     restart_condition,
     update_state,
-    zoom_in,
 )
 
 __version__ = "0.1.0"
@@ -92,7 +90,6 @@ __all__ = [
     "is_failure",
     "latin_hypercube_maximin",
     "make_benchmark",
-    "maybe_zoom_out",
     "noisy_eval",
     "predict",
     "predict_batch",
@@ -105,5 +102,4 @@ __all__ = [
     "threaded_evaluator",
     "update_state",
     "weight_pattern",
-    "zoom_in",
 ]

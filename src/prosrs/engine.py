@@ -209,17 +209,20 @@ def run_prosrs(
             points[i : i + config.n_par] for i in range(0, len(points), config.n_par)
         ]
 
-    # Initial design, outside the iteration budget (iteration = 0).
     tree = None
-    next_node_id = 0
+    next_node_id = 0  # id of the root of the next design's tree
     pending = doe_batches(doe_points())
     doe_X, doe_y = [], []
-    for batch in pending:
+
+    def design_step(iteration):
+        """Evaluate the next pending design batch; after the last one, build the tree."""
+        nonlocal tree
+        batch = pending.pop(0)
         y, t_eval = rec.evaluate(evaluator, batch)
         doe_X.append(batch)
         doe_y.append(y)
         rec.log(
-            iteration=0,
+            iteration=iteration,
             event=EVENT_DOE,
             node_id=next_node_id,
             zoom_level=0,
@@ -229,42 +232,23 @@ def run_prosrs(
             algo_time_s=0.0,
             eval_time_s=t_eval,
         )
-    tree = ZoomTree(
-        EvalDataset(np.vstack(doe_X), np.concatenate(doe_y)),
-        domain,
-        config,
-        first_node_id=next_node_id,
-    )
-    next_node_id = tree.next_node_id
-    pending = []
+        if not pending:
+            tree = ZoomTree(
+                EvalDataset(np.vstack(doe_X), np.concatenate(doe_y)),
+                domain,
+                config,
+                first_node_id=next_node_id,
+            )
+
+    # Initial design, outside the iteration budget (iteration = 0).
+    while pending:
+        design_step(0)
 
     proposal_count = 0  # 0-based count of SRS proposal steps (weight alternation)
     for iteration in range(1, config.n_iterations + 1):
         if pending:
             # Re-bootstrap after a restart: these batches consume the budget.
-            batch = pending.pop(0)
-            y, t_eval = rec.evaluate(evaluator, batch)
-            doe_X.append(batch)
-            doe_y.append(y)
-            if not pending:
-                tree = ZoomTree(
-                    EvalDataset(np.vstack(doe_X), np.concatenate(doe_y)),
-                    domain,
-                    config,
-                    first_node_id=next_node_id,
-                )
-                next_node_id = tree.next_node_id
-            rec.log(
-                iteration=iteration,
-                event=EVENT_DOE,
-                node_id=next_node_id if tree is None else tree.root.node_id,
-                zoom_level=0,
-                state_snapshot=config.s_init,
-                proposed_x=np.atleast_2d(batch),
-                proposed_y=y,
-                algo_time_s=0.0,
-                eval_time_s=t_eval,
-            )
+            design_step(iteration)
             continue
 
         node = tree.current
@@ -295,22 +279,21 @@ def run_prosrs(
         update_state(node, effective_n(node.data, node.omega), failed, config)
 
         event = EVENT_NORMAL
-        restarted = False
         if node.state.sigma < config.sigma_crit:
             x_star = node.data.X[best_fit_index(node.data, model)]
             child = tree.zoom_in(x_star, config)
-            next_node_id = tree.next_node_id
-            if restart_condition(child, domain, config):
+            # fit_rbf needs two points, so a child holding fewer cannot be
+            # searched: it restarts like one resolved below the threshold.
+            if len(child.data) < 2 or restart_condition(child, domain, config):
                 event = EVENT_RESTART
-                restarted = True
+                next_node_id = tree.next_node_id
                 pending = doe_batches(doe_points())
                 doe_X, doe_y = [], []
                 tree = None
             else:
                 event = EVENT_ZOOM_IN
-        if not restarted and tree.current.parent is not None:
-            if tree.maybe_zoom_out(rngs["zoomout"]):
-                event = EVENT_ZOOM_OUT
+        if tree is not None and tree.maybe_zoom_out(rngs["zoomout"]):
+            event = EVENT_ZOOM_OUT
         algo_time += time.perf_counter() - t0
 
         rec.log(

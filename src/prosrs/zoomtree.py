@@ -23,9 +23,7 @@ __all__ = [
     "ZoomTree",
     "update_state",
     "effective_n",
-    "zoom_in",
     "restart_condition",
-    "maybe_zoom_out",
     "max_zoom_level",
 ]
 
@@ -117,56 +115,6 @@ def effective_n(data: EvalDataset, omega: BoxDomain) -> int:
     return int(np.unique(flat).size)
 
 
-def zoom_in(
-    node: ZoomNode,
-    x_star,
-    archive: EvalDataset,
-    config: RunConfig,
-    child_id: int = 0,
-) -> ZoomNode:
-    """Create or revisit the child of ``node`` around the point ``x_star``.
-
-    If no existing child's domain contains x_star, a new child is created
-    whose domain has rho-fractional side lengths centered at x_star, clipped
-    (not shifted) at the parent's walls; it starts from the initial state and
-    zoom-out probability, with data pulled from the archive. Otherwise the
-    containing child whose domain center is nearest to x_star (ties:
-    earliest-created) is revisited: its data is refreshed from the archive and
-    its zoom-out probability halves (floored at beta_min); its state persists.
-    Either way the parent's state and failure counter reset, and the child is
-    returned as the new current node.
-    """
-    x_star = np.asarray(x_star, dtype=float)
-    if not node.omega.contains(x_star):
-        raise ValueError("zoom center must lie inside the node domain")
-
-    containing = [c for c in node.children if c.omega.contains(x_star)]
-    if containing:
-        centers = np.array([c.omega.center() for c in containing])
-        child = containing[int(np.argmin(np.linalg.norm(centers - x_star, axis=1)))]
-        child.data = archive.restrict_to(child.omega)
-        child.beta = max(child.beta / 2.0, config.beta_min)
-    else:
-        half = 0.5 * config.rho * node.omega.side_lengths
-        child_omega = BoxDomain(
-            np.maximum(x_star - half, node.omega.lower),
-            np.minimum(x_star + half, node.omega.upper),
-        )
-        child = ZoomNode(
-            archive.restrict_to(child_omega),
-            child_omega,
-            config.s_init,
-            config.beta_init,
-            parent=node,
-            node_id=child_id,
-        )
-        node.children.append(child)
-
-    node.state = config.s_init
-    node.fail_counter = 0
-    return child
-
-
 def restart_condition(child: ZoomNode, root_domain: BoxDomain, config: RunConfig) -> bool:
     """True iff the child resolves finer than r times the root in every dimension.
 
@@ -185,18 +133,6 @@ def restart_condition(child: ZoomNode, root_domain: BoxDomain, config: RunConfig
             < config.r_resolution * root_domain.side_lengths
         )
     )
-
-
-def maybe_zoom_out(node: ZoomNode, archive: EvalDataset, rng: np.random.Generator) -> ZoomNode:
-    """With probability ``node.beta`` return the parent (data refreshed from
-    the archive), otherwise return ``node`` unchanged."""
-    if node.parent is None:
-        raise ValueError("node has no parent to zoom out to")
-    if rng.random() < node.beta:
-        parent = node.parent
-        parent.data = archive.restrict_to(parent.omega)
-        return parent
-    return node
 
 
 class ZoomTree:
@@ -231,14 +167,59 @@ class ZoomTree:
         self.current.data = self.current.data.with_batch(X, y)
 
     def zoom_in(self, x_star, config: RunConfig) -> ZoomNode:
-        child = zoom_in(self.current, x_star, self.archive, config, child_id=self._next_id)
-        if child.node_id == self._next_id:
-            self._next_id += 1
+        """Create or revisit the child of the current node around ``x_star``.
+
+        If no existing child's domain contains x_star, a new child is created
+        whose domain has rho-fractional side lengths centered at x_star,
+        clipped (not shifted) at the parent's walls; it starts from the
+        initial state and zoom-out probability, with data pulled from the
+        archive. Otherwise the containing child whose domain center is nearest
+        to x_star (ties: earliest-created) is revisited: its data is refreshed
+        from the archive and its zoom-out probability halves (floored at
+        beta_min); its state persists. Either way the parent's state and
+        failure counter reset, and the child becomes the current node.
+        """
+        node = self.current
+        x_star = np.asarray(x_star, dtype=float)
+        if not node.omega.contains(x_star):
+            raise ValueError("zoom center must lie inside the node domain")
+
+        containing = [c for c in node.children if c.omega.contains(x_star)]
+        if containing:
+            centers = np.array([c.omega.center() for c in containing])
+            child = containing[int(np.argmin(np.linalg.norm(centers - x_star, axis=1)))]
+            child.data = self.archive.restrict_to(child.omega)
+            child.beta = max(child.beta / 2.0, config.beta_min)
+        else:
+            half = 0.5 * config.rho * node.omega.side_lengths
+            child_omega = BoxDomain(
+                np.maximum(x_star - half, node.omega.lower),
+                np.minimum(x_star + half, node.omega.upper),
+            )
+            child = ZoomNode(
+                self.archive.restrict_to(child_omega),
+                child_omega,
+                config.s_init,
+                config.beta_init,
+                parent=node,
+                node_id=self._take_id(),
+            )
+            node.children.append(child)
+
+        node.state = config.s_init
+        node.fail_counter = 0
         self.current = child
         return child
 
     def maybe_zoom_out(self, rng: np.random.Generator) -> bool:
-        moved = maybe_zoom_out(self.current, self.archive, rng)
-        changed = moved is not self.current
-        self.current = moved
-        return changed
+        """With probability ``current.beta`` move to the parent, its data
+        refreshed from the archive; report whether the current node changed.
+        The root has no parent: it stays, and ``rng`` is not drawn from."""
+        node = self.current
+        if node.parent is None:
+            return False
+        if rng.random() < node.beta:
+            node.parent.data = self.archive.restrict_to(node.parent.omega)
+            self.current = node.parent
+            return True
+        return False

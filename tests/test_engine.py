@@ -14,6 +14,7 @@ from prosrs.engine import (
 from prosrs.problem import (
     BoxDomain,
     EvaluationError,
+    ExploitState,
     Objective,
     default_config,
     stream_seedseq,
@@ -154,6 +155,22 @@ class TestRunProsrs:
         assert result.y_best == all_y.min()
         bests = [log.best_y_so_far for log in result.logs]
         assert all(b2 <= b1 for b1, b2 in zip(bests, bests[1:]))
+
+    def test_child_with_one_point_restarts(self):
+        # rho = 0.05 in 10-D leaves a zoom-in child holding a single point,
+        # which no surrogate can be fitted to: the run restarts instead.
+        problem = make_benchmark("Ackley10")
+        cfg = default_config(
+            10, 2, n_iterations=20, seed=0, rho=0.05, c_fail=1,
+            s_init=ExploitState(0.0, 0.05, 0.1), sigma_crit=0.06, n_candidates_per_dim=50,
+        )
+        result = run_prosrs(
+            benchmark_objective(problem, 0),
+            cfg,
+            NoisyBatchEvaluator(problem, stream_seedseq(0, "noise")),
+        )
+        assert any(log.event == EVENT_RESTART for log in result.logs)
+        assert sum(log.iteration >= 1 for log in result.logs) == cfg.n_iterations
 
     def test_dimension_mismatch_rejected(self):
         obj = sphere_objective(3)

@@ -91,7 +91,6 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(m, np.array([0.4, 0.2]))
 
-    @pytest.mark.skipif(_kernels.NUMBA_ENABLED, reason="reference is the numpy basis")
     @pytest.mark.parametrize(
         "rows",
         [1, _kernels.BLOCK_ROWS - 1, _kernels.BLOCK_ROWS, _kernels.BLOCK_ROWS + 1,

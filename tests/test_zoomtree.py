@@ -9,10 +9,8 @@ from prosrs.zoomtree import (
     ZoomTree,
     effective_n,
     max_zoom_level,
-    maybe_zoom_out,
     restart_condition,
     update_state,
-    zoom_in,
 )
 
 
@@ -121,82 +119,95 @@ class TestZoomIn:
     def cfg(self):
         return default_config(2, 1)
 
-    def archive(self, rng, n=40):
+    def tree(self, rng, n=40, state=ExploitState(0.0, 0.05, 0.01)):
         X = rng.uniform(0, 1, size=(n, 2))
-        return EvalDataset(X, rng.normal(size=n))
+        tree = ZoomTree(EvalDataset(X, rng.normal(size=n)), box(0, 1, 2), self.cfg())
+        tree.root.state = state
+        return tree
 
     def test_new_child_domain_is_clipped(self):
-        rng = np.random.default_rng(2)
-        archive = self.archive(rng)
-        parent = ZoomNode(archive, box(0, 1, 2), ExploitState(0.0, 0.05, 0.01), 0.02)
-        child = zoom_in(parent, np.array([0.9, 0.5]), archive, self.cfg(), child_id=1)
+        tree = self.tree(np.random.default_rng(2))
+        child = tree.zoom_in(np.array([0.9, 0.5]), self.cfg())
         np.testing.assert_allclose(child.omega.lower, [0.7, 0.3])
         np.testing.assert_allclose(child.omega.upper, [1.0, 0.7])
         assert child.zoom_level == 1
-        assert child.beta == 0.02
+        assert child.beta == self.cfg().beta_init
         assert child.state == self.cfg().s_init
-        assert parent.omega.contains_box(child.omega)
+        assert child.parent is tree.root and tree.current is child
+        assert tree.root.omega.contains_box(child.omega)
 
     def test_child_data_comes_from_archive(self):
-        rng = np.random.default_rng(3)
-        archive = self.archive(rng, 100)
-        parent = ZoomNode(archive, box(0, 1, 2), ExploitState(0.0, 0.05, 0.01), 0.02)
-        child = zoom_in(parent, np.array([0.5, 0.5]), archive, self.cfg(), child_id=1)
-        expect = archive.restrict_to(child.omega)
+        tree = self.tree(np.random.default_rng(3), 100)
+        tree.zoom_in(np.array([0.5, 0.5]), self.cfg())
+        # Recorded at the first child: in the archive, not in the root's data.
+        tree.record_batch(np.array([[0.6, 0.6]]), np.array([-5.0]))
+        assert -5.0 not in tree.root.data.y
+        tree.current = tree.root
+        child = tree.zoom_in(np.array([0.75, 0.75]), self.cfg())
+        expect = tree.archive.restrict_to(child.omega)
         np.testing.assert_array_equal(child.data.X, expect.X)
-        assert len(child.data) >= 1  # the zoom center itself need not be data, but
-        # every archive point inside is present
+        np.testing.assert_array_equal(child.data.y, expect.y)
+        assert -5.0 in child.data.y
 
     def test_parent_state_resets(self):
-        rng = np.random.default_rng(4)
-        archive = self.archive(rng)
-        parent = ZoomNode(archive, box(0, 1, 2), ExploitState(-4.0, 0.02, 0.01), 0.02)
-        parent.fail_counter = 1
-        zoom_in(parent, np.array([0.5, 0.5]), archive, self.cfg(), child_id=1)
-        assert parent.state == self.cfg().s_init
-        assert parent.fail_counter == 0
+        tree = self.tree(np.random.default_rng(4), state=ExploitState(-4.0, 0.02, 0.01))
+        tree.root.fail_counter = 1
+        tree.zoom_in(np.array([0.5, 0.5]), self.cfg())
+        assert tree.root.state == self.cfg().s_init
+        assert tree.root.fail_counter == 0
 
     def test_revisit_halves_beta_with_floor(self):
-        rng = np.random.default_rng(5)
-        archive = self.archive(rng)
-        parent = ZoomNode(archive, box(0, 1, 2), ExploitState(0.0, 0.05, 0.01), 0.02)
-        child = zoom_in(parent, np.array([0.5, 0.5]), archive, self.cfg(), child_id=1)
-        again = zoom_in(parent, np.array([0.5, 0.5]), archive, self.cfg(), child_id=2)
+        tree = self.tree(np.random.default_rng(5))
+        child = tree.zoom_in(np.array([0.5, 0.5]), self.cfg())
+        tree.current = tree.root
+        again = tree.zoom_in(np.array([0.5, 0.5]), self.cfg())
         assert again is child
         assert again.beta == pytest.approx(0.01)  # max(0.02/2, 0.01)
-        third = zoom_in(parent, np.array([0.5, 0.5]), archive, self.cfg(), child_id=3)
+        tree.current = tree.root
+        third = tree.zoom_in(np.array([0.5, 0.5]), self.cfg())
         assert third.beta == pytest.approx(0.01)  # floored
-        assert len(parent.children) == 1
+        assert len(tree.root.children) == 1
 
     def test_revisit_keeps_state(self):
-        rng = np.random.default_rng(6)
-        archive = self.archive(rng)
-        parent = ZoomNode(archive, box(0, 1, 2), ExploitState(0.0, 0.05, 0.01), 0.02)
-        child = zoom_in(parent, np.array([0.5, 0.5]), archive, self.cfg(), child_id=1)
+        tree = self.tree(np.random.default_rng(6))
+        child = tree.zoom_in(np.array([0.5, 0.5]), self.cfg())
         child.state = ExploitState(-2.0, 0.03, 0.05)
         child.fail_counter = 1
-        zoom_in(parent, np.array([0.5, 0.5]), archive, self.cfg(), child_id=2)
+        tree.current = tree.root
+        assert tree.zoom_in(np.array([0.5, 0.5]), self.cfg()) is child
         assert child.state == ExploitState(-2.0, 0.03, 0.05)
         assert child.fail_counter == 1
 
+    def test_revisit_refreshes_data_from_archive(self):
+        tree = self.tree(np.random.default_rng(6))
+        child = tree.zoom_in(np.array([0.5, 0.5]), self.cfg())
+        tree.current = tree.root
+        tree.zoom_in(np.array([0.75, 0.75]), self.cfg())
+        # Recorded at a sibling: in the archive, not in the root's data.
+        tree.record_batch(np.array([[0.6, 0.6]]), np.array([-9.0]))
+        assert -9.0 not in child.data.y and -9.0 not in tree.root.data.y
+        tree.current = tree.root
+        assert tree.zoom_in(np.array([0.4, 0.4]), self.cfg()) is child
+        np.testing.assert_array_equal(child.data.y, tree.archive.restrict_to(child.omega).y)
+        assert -9.0 in child.data.y
+
     def test_nearest_center_wins_in_overlap(self):
-        rng = np.random.default_rng(7)
-        archive = self.archive(rng)
-        parent = ZoomNode(archive, box(0, 1, 2), ExploitState(0.0, 0.05, 0.01), 0.02)
-        a = zoom_in(parent, np.array([0.45, 0.5]), archive, self.cfg(), child_id=1)
-        b = zoom_in(parent, np.array([0.66, 0.5]), archive, self.cfg(), child_id=2)
+        tree = self.tree(np.random.default_rng(7))
+        a = tree.zoom_in(np.array([0.45, 0.5]), self.cfg())
+        tree.current = tree.root
+        b = tree.zoom_in(np.array([0.66, 0.5]), self.cfg())
         assert a is not b
         # (0.58, 0.5) lies in both children; b's center (0.66, 0.5) is nearer.
         assert a.omega.contains([0.58, 0.5]) and b.omega.contains([0.58, 0.5])
-        chosen = zoom_in(parent, np.array([0.58, 0.5]), archive, self.cfg(), child_id=3)
+        tree.current = tree.root
+        chosen = tree.zoom_in(np.array([0.58, 0.5]), self.cfg())
         assert chosen is b
 
     def test_center_outside_domain_raises(self):
-        rng = np.random.default_rng(8)
-        archive = self.archive(rng)
-        parent = ZoomNode(archive, box(0, 1, 2), ExploitState(0.0, 0.05, 0.01), 0.02)
+        tree = self.tree(np.random.default_rng(8))
         with pytest.raises(ValueError):
-            zoom_in(parent, np.array([1.5, 0.5]), archive, self.cfg(), child_id=1)
+            tree.zoom_in(np.array([1.5, 0.5]), self.cfg())
+        assert tree.current is tree.root and not tree.root.children
 
 
 class TestRestartCondition:
@@ -246,44 +257,52 @@ class TestMaybeZoomOut:
     def family(self, beta):
         rng = np.random.default_rng(9)
         X = rng.uniform(0, 1, size=(30, 2))
-        archive = EvalDataset(X, rng.normal(size=30))
-        parent = ZoomNode(archive, box(0, 1, 2), ExploitState(0.0, 1.0, 0.1), 0.02)
-        child_omega = BoxDomain(np.array([0.3, 0.3]), np.array([0.7, 0.7]))
-        child = ZoomNode(
-            archive.restrict_to(child_omega), child_omega,
-            ExploitState(0.0, 1.0, 0.1), beta, parent=parent, node_id=1,
-        )
-        return parent, child, archive
+        tree = ZoomTree(EvalDataset(X, rng.normal(size=30)), box(0, 1, 2), default_config(2, 1))
+        child = tree.zoom_in(np.array([0.5, 0.5]), default_config(2, 1))
+        child.beta = beta
+        return tree, child
 
     def test_zero_probability_stays(self):
-        parent, child, archive = self.family(beta=1e-300)
+        tree, child = self.family(beta=1e-300)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            assert maybe_zoom_out(child, archive, rng) is child
+            assert tree.maybe_zoom_out(rng) is False
+            assert tree.current is child
 
     def test_probability_one_always_moves(self):
-        parent, child, archive = self.family(beta=1.0)
+        tree, child = self.family(beta=1.0)
         rng = np.random.default_rng(0)
         for _ in range(10):
-            assert maybe_zoom_out(child, archive, rng) is parent
+            tree.current = child
+            assert tree.maybe_zoom_out(rng) is True
+            assert tree.current is tree.root
 
     def test_parent_data_refreshed(self):
-        parent, child, archive = self.family(beta=1.0)
-        grown = archive.with_batch(np.array([[0.5, 0.5]]), np.array([-9.0]))
-        out = maybe_zoom_out(child, grown, np.random.default_rng(0))
-        assert out is parent
-        assert len(parent.data) == len(grown)
+        tree, child = self.family(beta=1.0)
+        # Recorded at the child: the archive grows, the root's data does not.
+        tree.record_batch(np.array([[0.5, 0.5]]), np.array([-9.0]))
+        assert len(tree.root.data) == len(tree.archive) - 1
+        assert tree.maybe_zoom_out(np.random.default_rng(0)) is True
+        assert tree.current is tree.root
+        assert len(tree.root.data) == len(tree.archive)
 
     def test_frequency_matches_beta(self):
-        parent, child, archive = self.family(beta=0.02)
+        tree, child = self.family(beta=0.02)
         rng = np.random.default_rng(123)
-        hits = sum(maybe_zoom_out(child, archive, rng) is parent for _ in range(10000))
+        hits = 0
+        for _ in range(10000):
+            tree.current = child
+            hits += tree.maybe_zoom_out(rng)
         assert 0.015 <= hits / 10000 <= 0.025
 
-    def test_root_raises(self):
-        parent, child, archive = self.family(beta=0.5)
-        with pytest.raises(ValueError):
-            maybe_zoom_out(parent, archive, np.random.default_rng(0))
+    def test_root_stays_without_drawing(self):
+        tree, child = self.family(beta=0.5)
+        tree.current = tree.root
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        assert tree.maybe_zoom_out(rng) is False
+        assert tree.current is tree.root
+        assert rng.bit_generator.state == before
 
 
 class TestTreeStructure:
@@ -352,8 +371,8 @@ class TestTreeStructure:
         cfg = default_config(2, 1)
         rng = np.random.default_rng(14)
         X = rng.uniform(0, 1, size=(60, 2))
-        archive = EvalDataset(X, rng.normal(size=60))
-        parent = ZoomNode(archive, box(0, 1, 2), cfg.s_init, cfg.beta_init)
-        for visit in range(10):
-            child = zoom_in(parent, np.array([0.5, 0.5]), archive, cfg, child_id=visit + 1)
+        tree = ZoomTree(EvalDataset(X, rng.normal(size=60)), box(0, 1, 2), cfg)
+        for _ in range(10):
+            tree.current = tree.root
+            child = tree.zoom_in(np.array([0.5, 0.5]), cfg)
             assert cfg.beta_min <= child.beta <= cfg.beta_init
