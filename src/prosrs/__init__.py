@@ -15,7 +15,7 @@ from .benchmarks import (
     make_benchmark,
     noisy_eval,
 )
-from .doe import DoeDesign, latin_hypercube_maximin
+from .doe import latin_hypercube_maximin
 from .engine import (
     IterationLog,
     RunResult,
@@ -37,17 +37,14 @@ from .problem import (
     derive_streams,
 )
 from .srs import (
-    CandidateSet,
     WeightPattern,
     generate_candidates,
     select_batch,
     weight_pattern,
 )
 from .surrogate import (
-    CvConfig,
     RbfSurrogate,
     fit_rbf,
-    predict,
     predict_batch,
     relative_l2_error,
 )
@@ -65,9 +62,6 @@ __all__ = [
     "BENCHMARK_NAMES",
     "BenchmarkProblem",
     "BoxDomain",
-    "CandidateSet",
-    "CvConfig",
-    "DoeDesign",
     "EvalDataset",
     "EvaluationError",
     "ExploitState",
@@ -91,7 +85,6 @@ __all__ = [
     "latin_hypercube_maximin",
     "make_benchmark",
     "noisy_eval",
-    "predict",
     "predict_batch",
     "relative_l2_error",
     "restart_condition",

@@ -52,7 +52,7 @@ from .problem import (
     default_config,
     stream_seedseq,
 )
-from .surrogate import CvConfig, fit_rbf, relative_l2_error
+from .surrogate import fit_rbf, relative_l2_error
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -266,12 +266,11 @@ def model_error_trial(
     seq = np.random.SeedSequence([base_seed, name_key, n, repeat])
     design_seq, noise_seq, mc_seq, fold_seq = seq.spawn(4)
     design_rng = np.random.default_rng(design_seq)
-    design = latin_hypercube_maximin(n, problem.domain, design_rng, n_restarts=1)
+    X = latin_hypercube_maximin(n, problem.domain, design_rng, n_restarts=1)
     noise_rng = np.random.default_rng(noise_seq)
-    y = np.asarray(problem.true_mean(design.points)) + problem.noise_std * noise_rng.standard_normal(n)
-    data = EvalDataset(design.points, y)
-    cv = CvConfig(fold_seed=int(fold_seq.generate_state(1)[0]))
-    model = fit_rbf(data, problem.domain, gamma=0.0, cv_config=cv)
+    y = np.asarray(problem.true_mean(X)) + problem.noise_std * noise_rng.standard_normal(n)
+    fold_seed = int(fold_seq.generate_state(1)[0])
+    model = fit_rbf(EvalDataset(X, y), problem.domain, gamma=0.0, fold_seed=fold_seed)
     return relative_l2_error(
         model, problem.true_mean, problem.domain, n_mc, np.random.default_rng(mc_seq)
     )

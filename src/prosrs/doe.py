@@ -8,20 +8,10 @@ keeps the randomness down to the per-axis permutations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial.distance import pdist
 
 from .problem import BoxDomain
-
-
-@dataclass(frozen=True)
-class DoeDesign:
-    """A design of ``m`` points plus the minimum pairwise distance achieved."""
-
-    points: np.ndarray
-    criterion_value: float
 
 
 def _cell_centered_lhs(m: int, domain: BoxDomain, rng: np.random.Generator) -> np.ndarray:
@@ -42,28 +32,21 @@ def latin_hypercube_maximin(
     domain: BoxDomain,
     rng: np.random.Generator,
     n_restarts: int = 100,
-    return_candidates: bool = False,
-):
+) -> np.ndarray:
     """Best of ``n_restarts`` random Latin hypercube designs of size ``m``.
 
-    Returns the design with the largest minimum pairwise Euclidean distance
-    (``criterion_value``; +inf for m=1, which has no pairs). Deterministic
-    given the generator state. With ``return_candidates`` the full list of
-    generated designs is returned as well, for inspecting the best-of pick.
+    Returns the (m, d) points of the design with the largest minimum pairwise
+    Euclidean distance (the first such design on ties; m=1 has no pairs and
+    its distance counts as +inf). Deterministic given the generator state.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
-    best = None
-    candidates = [] if return_candidates else None
+    best, best_value = None, -np.inf
     for _ in range(n_restarts):
         points = _cell_centered_lhs(m, domain, rng)
-        design = DoeDesign(points, _min_pairwise_distance(points))
-        if candidates is not None:
-            candidates.append(design)
-        if best is None or design.criterion_value > best.criterion_value:
-            best = design
-    if return_candidates:
-        return best, candidates
+        value = _min_pairwise_distance(points)
+        if value > best_value:
+            best, best_value = points, value
     return best

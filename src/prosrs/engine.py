@@ -32,7 +32,7 @@ from .problem import (
     derive_streams,
 )
 from .srs import best_fit_index, generate_candidates, select_batch, weight_pattern
-from .surrogate import CvConfig, fit_rbf
+from .surrogate import fit_rbf
 from .zoomtree import ZoomTree, effective_n, restart_condition, update_state
 
 EVENT_DOE = "doe"
@@ -75,10 +75,6 @@ class RunResult:
     logs: list
     n_evaluations: int
     config_echo: RunConfig
-
-    def best_trajectory(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cumulative best point and response after each logged batch."""
-        return best_trajectory(self.logs)
 
 
 def best_trajectory(logs) -> tuple[np.ndarray, np.ndarray]:
@@ -202,7 +198,7 @@ def run_prosrs(
     d = config.dim
 
     def doe_points():
-        return latin_hypercube_maximin(config.m_doe, domain, rngs["doe"]).points
+        return latin_hypercube_maximin(config.m_doe, domain, rngs["doe"])
 
     def doe_batches(points):
         return [
@@ -255,8 +251,8 @@ def run_prosrs(
         state = node.state
 
         t0 = time.perf_counter()
-        cv = CvConfig(fold_seed=int(rngs["cv"].integers(0, 2**63)))
-        model = fit_rbf(node.data, node.omega, state.gamma, cv)
+        fold_seed = int(rngs["cv"].integers(0, 2**63))
+        model = fit_rbf(node.data, node.omega, state.gamma, fold_seed)
         candidates = generate_candidates(
             node.data,
             node.omega,
@@ -266,7 +262,7 @@ def run_prosrs(
             rngs["candidates"],
         )
         pattern = weight_pattern(config.n_par, proposal_count)
-        X_new = select_batch(candidates, model, node.data.X, pattern)
+        X_new = candidates[select_batch(candidates, model, node.data.X, pattern)]
         algo_time = time.perf_counter() - t0
         proposal_count += 1
 

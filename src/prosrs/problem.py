@@ -59,9 +59,6 @@ class BoxDomain:
     def side_lengths(self) -> np.ndarray:
         return self.upper - self.lower
 
-    def side_length(self, i: int) -> float:
-        return float(self.upper[i] - self.lower[i])
-
     def center(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
 
@@ -126,10 +123,6 @@ class EvalDataset:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
 
-    @classmethod
-    def empty(cls, dim: int) -> "EvalDataset":
-        return cls(np.empty((0, dim)), np.empty(0))
-
     def __len__(self) -> int:
         return int(self.X.shape[0])
 
@@ -147,12 +140,6 @@ class EvalDataset:
         """Subset of records inside ``domain``, original order preserved."""
         inside = np.all((self.X >= domain.lower) & (self.X <= domain.upper), axis=1)
         return EvalDataset(self.X[inside], self.y[inside])
-
-    def best_index(self) -> int:
-        """Index of the lowest response (ties broken by lowest index)."""
-        if len(self) == 0:
-            raise ValueError("dataset is empty")
-        return int(np.argmin(self.y))
 
 
 @dataclass(frozen=True)
@@ -213,6 +200,11 @@ class RunConfig:
             raise ValueError("delta_gamma must be positive")
         if self.n_candidates_per_dim < 1:
             raise ValueError("n_candidates_per_dim must be >= 1")
+        if self.n_candidates_per_dim * self.dim < self.n_par:
+            raise ValueError(
+                f"n_candidates_per_dim * dim = {self.n_candidates_per_dim * self.dim} "
+                f"candidates cannot fill n_par = {self.n_par} slots"
+            )
 
 
 def default_config(d: int, n_par: int, **overrides) -> RunConfig:

@@ -2,9 +2,9 @@
 
 Each iteration draws a pool of candidates inside the current domain — a
 mixture of uniform draws (Type I) and Gaussian perturbations of the current
-surrogate-best point (Type II) — then picks a batch by blending a surrogate
-response score against a min-distance exploration score, one pick per weight
-in the pattern.
+surrogate-best point (Type II) — as one (t, d) array, then picks a batch by
+blending a surrogate response score against a min-distance exploration score,
+one pick per weight in the pattern, and returns the indices of the picks.
 """
 
 from __future__ import annotations
@@ -16,30 +16,6 @@ import numpy as np
 from . import _kernels
 from .problem import BoxDomain, EvalDataset, ExploitState, clip_to_domain
 from .surrogate import RbfSurrogate, predict_batch
-
-TYPE_I = 0  # uniform over the domain
-TYPE_II = 1  # Gaussian perturbation around the surrogate-best point
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """Candidate pool with per-point type tags (TYPE_I or TYPE_II)."""
-
-    points: np.ndarray
-    type_tags: np.ndarray
-
-    def __post_init__(self):
-        points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        tags = np.asarray(self.type_tags, dtype=np.uint8)
-        if tags.shape != (points.shape[0],):
-            raise ValueError("one type tag per candidate required")
-        points.setflags(write=False)
-        tags.setflags(write=False)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "type_tags", tags)
-
-    def __len__(self) -> int:
-        return int(self.points.shape[0])
 
 
 @dataclass(frozen=True)
@@ -89,9 +65,9 @@ def generate_candidates(
     model: RbfSurrogate,
     t: int,
     rng: np.random.Generator,
-) -> CandidateSet:
-    """Draw ``t`` candidates in ``omega``: a Type I fraction of
-    floor(10p)/10 uniform over the domain, the rest Type II Gaussian
+) -> np.ndarray:
+    """Draw ``t`` candidates in ``omega`` as a (t, d) array: first a Type I
+    fraction of floor(10p)/10 uniform over the domain, then Type II Gaussian
     perturbations of the surrogate-best data point with per-dimension
     standard deviation sigma * side_length, clamped back into the domain."""
     if t < 1:
@@ -106,21 +82,11 @@ def generate_candidates(
     gauss_pts = x_star + rng.normal(0.0, 1.0, size=(n_gauss, omega.dim)) * spread
     gauss_pts = clip_to_domain(gauss_pts, omega)
 
-    points = np.vstack([uniform_pts, gauss_pts])
-    tags = np.concatenate(
-        [np.full(n_uniform, TYPE_I, np.uint8), np.full(n_gauss, TYPE_II, np.uint8)]
-    )
-    return CandidateSet(points, tags)
+    return np.vstack([uniform_pts, gauss_pts])
 
 
-def select_batch(
-    candidates: CandidateSet,
-    model: RbfSurrogate,
-    evaluated,
-    pattern: WeightPattern,
-    return_indices: bool = False,
-):
-    """Pick one candidate per weight, scoring response against spread.
+def select_batch(points, model: RbfSurrogate, evaluated, pattern: WeightPattern) -> list:
+    """Pick one row of ``points`` per weight, scoring response against spread.
 
     For each weight w, over the remaining pool: the response score is the
     min-max normalized surrogate value, the distance score is the min-max
@@ -128,21 +94,21 @@ def select_batch(
     points and the proposals already picked (both scores identically 0 when
     their range is degenerate). The candidate minimizing
     w * response + (1 - w) * distance is selected (ties: lowest index),
-    removed from the pool, and the nearest-distances are refreshed.
+    removed from the pool, and the nearest-distances are refreshed. Returns
+    the row indices of the picks, in pattern order.
     """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     evaluated = np.atleast_2d(np.asarray(evaluated, dtype=float))
-    if len(candidates) == 0 or evaluated.shape[0] == 0:
+    t = points.shape[0]
+    if t == 0 or evaluated.shape[0] == 0:
         raise ValueError("candidates and evaluated points must be nonempty")
     n_par = len(pattern)
-    if len(candidates) < n_par:
-        raise ValueError(
-            f"pool of {len(candidates)} candidates cannot fill {n_par} slots"
-        )
+    if t < n_par:
+        raise ValueError(f"pool of {t} candidates cannot fill {n_par} slots")
 
-    points = candidates.points
     g = predict_batch(model, points)
     dmin = _kernels.min_dists(points, evaluated)
-    active = np.ones(len(candidates), dtype=bool)
+    active = np.ones(t, dtype=bool)
     picked = []
     for w in pattern.weights:
         idx = np.flatnonzero(active)
@@ -165,8 +131,4 @@ def select_batch(
         picked.append(int(choice))
         active[choice] = False
         dmin = _kernels.update_min_dists(dmin, points, points[choice])
-
-    batch = points[picked]
-    if return_indices:
-        return batch, picked
-    return batch
+    return picked

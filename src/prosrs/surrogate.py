@@ -10,7 +10,8 @@ where yhat is the dataset-normalized response (0 everywhere if the responses
 are constant) and gamma <= 0, so more negative gamma concentrates accuracy on
 the low-response points. lambda is picked by k-fold cross validation over a
 log-spaced grid, scoring held-out points with the same weights, then the model
-is refit on all data at the winning value.
+is refit on all data at the winning value. ``fit_rbf`` returns the fitted
+``RbfSurrogate``; ``predict_batch`` evaluates it at row-stacked points.
 """
 
 from __future__ import annotations
@@ -22,25 +23,10 @@ import numpy as np
 from ._kernels import multiquadric_matrix, row_blocks
 from .problem import BoxDomain, EvalDataset
 
+# Cross-validation folds (fewer when there are fewer points).
+N_FOLDS = 5
 # 1e-8 .. 1e2, log-spaced, 11 points.
 DEFAULT_LAMBDA_GRID = tuple(float(10.0**k) for k in range(-8, 3))
-
-
-@dataclass(frozen=True)
-class CvConfig:
-    """Cross-validation settings for the ridge penalty selection."""
-
-    n_folds: int = 5
-    lambda_grid: tuple = DEFAULT_LAMBDA_GRID
-    fold_seed: int = 0
-
-    def __post_init__(self):
-        if self.n_folds < 2:
-            raise ValueError("n_folds must be >= 2")
-        if len(self.lambda_grid) == 0:
-            raise ValueError("lambda grid must be nonempty")
-        if any(lam < 0 for lam in self.lambda_grid):
-            raise ValueError("lambda values must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -107,16 +93,17 @@ def fit_rbf(
     data: EvalDataset,
     domain: BoxDomain,
     gamma: float,
-    cv_config: CvConfig | None = None,
+    fold_seed: int = 0,
 ) -> RbfSurrogate:
     """Fit the weighted multiquadric model with cross-validated ridge penalty.
 
     Points are mapped to the unit cube via ``domain``. Response normalization
-    and weights are computed once from the full dataset (not per fold), folds
-    come from a seeded random permutation, and held-out residuals are scored
-    with the same weights. Requires at least two records.
+    and weights are computed once from the full dataset (not per fold), the
+    min(N_FOLDS, n) folds come from a random permutation seeded by
+    ``fold_seed``, and held-out residuals are scored with the same weights.
+    The penalty is the best value on DEFAULT_LAMBDA_GRID. Requires at least
+    two records; returns the model refit on all of them.
     """
-    cv = cv_config if cv_config is not None else CvConfig()
     n = len(data)
     if n < 2:
         raise ValueError("at least 2 evaluations are required to fit a surrogate")
@@ -127,20 +114,19 @@ def fit_rbf(
     y = data.y
     w = response_weights(y, gamma)
     phi = multiquadric_matrix(centers, centers)
-    lambdas = list(cv.lambda_grid)
 
-    rng = np.random.default_rng(cv.fold_seed)
-    k = min(cv.n_folds, n)
+    rng = np.random.default_rng(fold_seed)
+    k = min(N_FOLDS, n)
     folds = np.array_split(rng.permutation(n), k)
 
-    scores = np.zeros(len(lambdas))
-    usable = np.ones(len(lambdas), dtype=bool)
+    scores = np.zeros(len(DEFAULT_LAMBDA_GRID))
+    usable = np.ones(len(DEFAULT_LAMBDA_GRID), dtype=bool)
     for fold in folds:
         mask = np.zeros(n, dtype=bool)
         mask[fold] = True
         tr = np.flatnonzero(~mask)
         te = np.flatnonzero(mask)
-        solutions = _ridge_solutions(phi[np.ix_(tr, tr)], w[tr], y[tr], lambdas)
+        solutions = _ridge_solutions(phi[np.ix_(tr, tr)], w[tr], y[tr], DEFAULT_LAMBDA_GRID)
         phi_te = phi[np.ix_(te, tr)]
         for i, coef in enumerate(solutions):
             if coef is None:
@@ -153,7 +139,7 @@ def fit_rbf(
         raise ValueError("every lambda on the grid produced a singular system")
     scores = np.where(usable, scores, np.inf)
     best = int(np.argmin(scores))
-    lam = float(lambdas[best])
+    lam = DEFAULT_LAMBDA_GRID[best]
 
     coef = _ridge_solutions(phi, w, y, [lam])[0]
     if coef is None:
@@ -167,18 +153,9 @@ def fit_rbf(
     )
 
 
-def predict(model: RbfSurrogate, x) -> float:
-    """Evaluate the surrogate at one point in original coordinates."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.norm_record.dim,):
-        raise ValueError(
-            f"point has shape {x.shape}, expected ({model.norm_record.dim},)"
-        )
-    return float(predict_batch(model, x[None, :])[0])
-
-
 def predict_batch(model: RbfSurrogate, X) -> np.ndarray:
-    """Evaluate the surrogate at row-stacked points in original coordinates.
+    """Surrogate values, shape (k,), at ``k`` row-stacked points in original
+    coordinates (a single point of shape (d,) counts as one row).
 
     Rows are evaluated in fixed-size blocks, so the basis matrix held at any
     time has at most ``_kernels.BLOCK_ROWS`` rows whatever the number of points.

@@ -18,7 +18,6 @@ import numpy as np
 from .problem import BoxDomain, EvalDataset, ExploitState, RunConfig
 
 __all__ = [
-    "ExploitState",
     "ZoomNode",
     "ZoomTree",
     "update_state",
@@ -111,8 +110,9 @@ def effective_n(data: EvalDataset, omega: BoxDomain) -> int:
     k = _cells_per_dim(n, d)
     u = (data.X - omega.lower) / omega.side_lengths
     idx = np.clip(np.floor(u * k).astype(np.int64), 0, k - 1)
-    flat = np.ravel_multi_index(idx.T, dims=(k,) * d)
-    return int(np.unique(flat).size)
+    # Distinct rows, each viewed as one opaque item: a flat cell index over
+    # (k,) * d overflows int64 with k**d, and numpy rejects it for any d >= 63.
+    return int(np.unique(idx.view(np.dtype((np.void, 8 * d)))).size)
 
 
 def restart_condition(child: ZoomNode, root_domain: BoxDomain, config: RunConfig) -> bool:

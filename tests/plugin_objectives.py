@@ -26,3 +26,12 @@ def broken(seed):
         return float(x[0] ** 2)
 
     return Objective(1, dom, evaluate)
+
+
+def unevaluable(seed):
+    dom = BoxDomain(np.array([-1.0]), np.array([1.0]))
+
+    def evaluate(x):
+        raise RuntimeError("this objective must not be evaluated")
+
+    return Objective(1, dom, evaluate)

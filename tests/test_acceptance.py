@@ -19,7 +19,7 @@ from prosrs.benchmarks import (
     make_benchmark,
 )
 from prosrs.cli import cost_ratio, main as cli_main, model_error_trial
-from prosrs.engine import run_prosrs, run_random_search
+from prosrs.engine import best_trajectory, run_prosrs, run_random_search
 from prosrs.problem import (
     BoxDomain,
     EvalDataset,
@@ -27,8 +27,8 @@ from prosrs.problem import (
     default_config,
     stream_seedseq,
 )
-from prosrs.srs import CandidateSet, WeightPattern, select_batch
-from prosrs.surrogate import CvConfig, RbfSurrogate, fit_rbf, predict_batch, training_loss
+from prosrs.srs import WeightPattern, select_batch
+from prosrs.surrogate import RbfSurrogate, fit_rbf, predict_batch, training_loss
 from prosrs.zoomtree import ZoomNode, max_zoom_level, restart_condition, update_state
 
 
@@ -136,7 +136,7 @@ def test_criterion_03_fit_first_order_optimality():
         gamma = float(-2.0 * rng.integers(0, 3))
         model = fit_rbf(
             data, BoxDomain(np.zeros(d), np.ones(d)), gamma,
-            CvConfig(fold_seed=int(rng.integers(1 << 31))),
+            fold_seed=int(rng.integers(1 << 31)),
         )
         base = training_loss(model, data)
         for j in range(n):
@@ -173,10 +173,7 @@ def test_criterion_04_selection_matches_exhaustive_oracle():
         evaluated = rng.uniform(0, 1, size=(int(rng.integers(1, 4)), d))
         weights = np.sort(rng.uniform(0.3, 1.0, size=n_par))
         g = predict_batch(model, pts)
-        _, idx = select_batch(
-            CandidateSet(pts, np.zeros(t, np.uint8)), model, evaluated,
-            WeightPattern(weights), return_indices=True,
-        )
+        idx = select_batch(pts, model, evaluated, WeightPattern(weights))
         if idx != oracle_select(pts, g, evaluated, weights):
             mismatches += 1
     report(
@@ -238,7 +235,7 @@ def test_criterion_06_desk_scale_optimization_performance():
     for seed in range(20):
         for algo in curves:
             res = benchmark_run(camel, algo, seed, n_par=4, n_iterations=n_iter)
-            xs, _ = res.best_trajectory()
+            xs, _ = best_trajectory(res.logs)
             curve = {}
             for log, x in zip(res.logs, xs):
                 curve[log.iteration] = float(camel.true_mean(x))

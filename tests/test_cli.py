@@ -123,6 +123,18 @@ class TestOptimize:
         assert partial[0].startswith("iteration,")
         assert len(partial) > 1  # batches before the NaN were flushed
 
+    def test_pool_too_small_for_batch_fails_before_evaluating(self, tmp_path, capsys):
+        # Any evaluation of this objective raises, which would exit with 3.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"config": {"n_candidates_per_dim": 5}}))
+        code = run_cli(
+            "optimize", "--problem", "plugin_objectives:unevaluable", "--n-par", "12",
+            "--iterations", "3", "--config", cfg, "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert "n_par" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = {
             "problem": "Rastrigin2",

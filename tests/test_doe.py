@@ -1,29 +1,33 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from prosrs.doe import latin_hypercube_maximin
 from prosrs.problem import BoxDomain
 
 
 def test_single_point_has_infinite_criterion():
+    # One point has no pairs, so its criterion is +inf and never beaten: the
+    # first of the 100 designs wins.
     dom = BoxDomain(np.zeros(3), np.ones(3))
-    design = latin_hypercube_maximin(1, dom, np.random.default_rng(0))
-    assert design.points.shape == (1, 3)
-    assert design.criterion_value == np.inf
-    assert np.all((design.points > 0) & (design.points < 1))
+    points = latin_hypercube_maximin(1, dom, np.random.default_rng(0))
+    first = latin_hypercube_maximin(1, dom, np.random.default_rng(0), n_restarts=1)
+    assert points.shape == (1, 3)
+    np.testing.assert_array_equal(points, first)
+    assert np.all((points > 0) & (points < 1))
 
 
 def test_one_dimensional_cell_centers_are_forced():
     dom = BoxDomain(np.array([0.0]), np.array([10.0]))
-    design = latin_hypercube_maximin(5, dom, np.random.default_rng(1), n_restarts=3)
-    np.testing.assert_allclose(sorted(design.points[:, 0]), [1.0, 3.0, 5.0, 7.0, 9.0])
-    assert design.criterion_value == pytest.approx(2.0)
+    points = latin_hypercube_maximin(5, dom, np.random.default_rng(1), n_restarts=3)
+    np.testing.assert_allclose(sorted(points[:, 0]), [1.0, 3.0, 5.0, 7.0, 9.0])
+    assert pdist(points).min() == pytest.approx(2.0)
 
 
 def latin_property_holds(points, dom):
     m = points.shape[0]
     for j in range(dom.dim):
-        w = dom.side_length(j) / m
+        w = dom.side_lengths[j] / m
         slabs = np.floor((points[:, j] - dom.lower[j]) / w).astype(int)
         if sorted(slabs) != list(range(m)):
             return False
@@ -32,8 +36,8 @@ def latin_property_holds(points, dom):
 
 def test_quarter_slabs_in_2d():
     dom = BoxDomain(np.zeros(2), np.ones(2))
-    design = latin_hypercube_maximin(4, dom, np.random.default_rng(2))
-    assert latin_property_holds(design.points, dom)
+    points = latin_hypercube_maximin(4, dom, np.random.default_rng(2))
+    assert latin_property_holds(points, dom)
 
 
 def test_latin_property_random_sizes():
@@ -41,26 +45,28 @@ def test_latin_property_random_sizes():
     for m, d in [(2, 1), (7, 3), (12, 5), (30, 2)]:
         lo = rng.uniform(-5, 0, d)
         dom = BoxDomain(lo, lo + rng.uniform(0.5, 10, d))
-        design = latin_hypercube_maximin(m, dom, rng, n_restarts=5)
-        assert latin_property_holds(design.points, dom)
-        assert np.all(design.points > dom.lower) and np.all(design.points < dom.upper)
+        points = latin_hypercube_maximin(m, dom, rng, n_restarts=5)
+        assert latin_property_holds(points, dom)
+        assert np.all(points > dom.lower) and np.all(points < dom.upper)
 
 
 def test_best_of_selection_is_monotone():
+    # Each restart draws one design from the generator, so 40 one-restart
+    # calls on one generator replay the 40 designs the best-of-40 call saw.
     dom = BoxDomain(np.zeros(2), np.ones(2))
-    best, candidates = latin_hypercube_maximin(
-        8, dom, np.random.default_rng(4), n_restarts=40, return_candidates=True
-    )
-    assert len(candidates) == 40
-    assert all(best.criterion_value >= c.criterion_value for c in candidates)
-    assert any(best.criterion_value == c.criterion_value for c in candidates)
+    best = latin_hypercube_maximin(8, dom, np.random.default_rng(4), n_restarts=40)
+    rng = np.random.default_rng(4)
+    candidates = [latin_hypercube_maximin(8, dom, rng, n_restarts=1) for _ in range(40)]
+    values = [pdist(c).min() for c in candidates]
+    assert all(pdist(best).min() >= v for v in values)
+    np.testing.assert_array_equal(best, candidates[int(np.argmax(values))])
 
 
 def test_deterministic_given_seed():
     dom = BoxDomain(np.zeros(4), np.ones(4))
     a = latin_hypercube_maximin(10, dom, np.random.default_rng(5))
     b = latin_hypercube_maximin(10, dom, np.random.default_rng(5))
-    np.testing.assert_array_equal(a.points, b.points)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_invalid_arguments():

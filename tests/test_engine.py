@@ -5,6 +5,7 @@ from prosrs.benchmarks import NoisyBatchEvaluator, benchmark_objective, make_ben
 from prosrs.engine import (
     EVENT_DOE,
     EVENT_RESTART,
+    best_trajectory,
     is_failure,
     run_prosrs,
     run_random_search,
@@ -172,6 +173,14 @@ class TestRunProsrs:
         assert any(log.event == EVENT_RESTART for log in result.logs)
         assert sum(log.iteration >= 1 for log in result.logs) == cfg.n_iterations
 
+    def test_runs_in_64_dimensions(self):
+        obj = sphere_objective(64)
+        cfg = default_config(64, 4, n_iterations=3, seed=0, n_candidates_per_dim=10)
+        result = run_prosrs(obj, cfg)
+        assert result.n_evaluations == cfg.m_doe + 3 * cfg.n_par
+        for log in result.logs:
+            assert np.all(log.proposed_x >= -1.0) and np.all(log.proposed_x <= 1.0)
+
     def test_dimension_mismatch_rejected(self):
         obj = sphere_objective(3)
         cfg = default_config(2, 4, n_iterations=2, seed=0)
@@ -213,7 +222,7 @@ class TestRunProsrs:
         obj = sphere_objective()
         cfg = default_config(2, 4, n_iterations=10, seed=4)
         result = run_prosrs(obj, cfg)
-        xs, ys = result.best_trajectory()
+        xs, ys = best_trajectory(result.logs)
         assert ys[-1] == result.y_best
         assert np.array_equal(xs[-1], result.x_best)
         assert all(b2 <= b1 for b1, b2 in zip(ys, ys[1:]))

@@ -30,7 +30,6 @@ class TestBoxDomain:
         dom = BoxDomain(np.array([-3.0, -2.0]), np.array([3.0, 2.0]))
         assert dom.dim == 2
         np.testing.assert_allclose(dom.side_lengths, [6.0, 4.0])
-        assert dom.side_length(1) == 4.0
 
     def test_unit_roundtrip(self):
         rng = np.random.default_rng(0)
@@ -95,10 +94,6 @@ class TestEvalDataset:
         np.testing.assert_array_equal(data.X[:, 0], [0.0, 1.0, 2.0, 5.0])
         np.testing.assert_array_equal(data.y, [3.0, 1.0, 2.0, 0.5])
 
-    def test_best_index_tie_lowest(self):
-        data = EvalDataset(np.array([[0.0], [1.0], [2.0]]), np.array([1.0, 1.0, 2.0]))
-        assert data.best_index() == 0
-
     def test_restrict_to(self):
         data = EvalDataset(np.array([[0.1, 0.1], [0.9, 0.9], [0.4, 0.6]]),
                            np.array([1.0, 2.0, 3.0]))
@@ -117,7 +112,7 @@ class TestEvalDataset:
             EvalDataset(np.zeros((3, 2)), np.zeros(2))
 
     def test_empty(self):
-        data = EvalDataset.empty(4)
+        data = EvalDataset(np.empty((0, 4)), np.empty(0))
         assert len(data) == 0 and data.dim == 4
 
 
@@ -176,6 +171,15 @@ class TestDefaultConfig:
             default_config(0, 1)
         with pytest.raises(ValueError):
             default_config(2, 4, beta_min=0.5)  # above beta_init
+
+    def test_candidate_pool_must_fill_the_batch(self):
+        # The pool holds n_candidates_per_dim * dim points, one pick per slot.
+        with pytest.raises(ValueError, match="n_par"):
+            default_config(1, 12, n_candidates_per_dim=5)
+        with pytest.raises(ValueError, match="n_par"):
+            default_config(3, 12, n_candidates_per_dim=3)
+        assert default_config(3, 12, n_candidates_per_dim=4).n_par == 12
+        assert default_config(1, 12, n_candidates_per_dim=12).n_par == 12
 
 
 class TestObjective:

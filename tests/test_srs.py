@@ -5,9 +5,6 @@ from selection_oracle import oracle_select
 
 from prosrs.problem import BoxDomain, EvalDataset, ExploitState, clip_to_domain
 from prosrs.srs import (
-    TYPE_I,
-    TYPE_II,
-    CandidateSet,
     WeightPattern,
     best_fit_index,
     generate_candidates,
@@ -59,11 +56,20 @@ class TestWeightPattern:
 
 class TestGenerateCandidates:
     def counts(self, p, t=2000):
-        state = ExploitState(0.0, p, 0.1)
+        # With a vanishing spread every Type II row sits on the clipped
+        # surrogate-best point; the uniform (Type I) rows come first. The draw
+        # must not share toy_data's seed, whose first uniforms are the data.
+        data, model = toy_data(), toy_model()
+        x_star = clip_to_domain(data.X[best_fit_index(data, model)], unit_box())
+        state = ExploitState(0.0, p, 1e-12)
         cands = generate_candidates(
-            toy_data(), unit_box(), state, toy_model(), t, np.random.default_rng(0)
+            data, unit_box(), state, model, t, np.random.default_rng(10)
         )
-        return int(np.sum(cands.type_tags == TYPE_I)), int(np.sum(cands.type_tags == TYPE_II))
+        assert cands.shape == (t, 2)
+        at_star = np.all(np.abs(cands - x_star) <= 1e-9, axis=1)
+        n2 = int(at_star.sum())
+        assert not at_star[: t - n2].any() and at_star[t - n2 :].all()
+        return t - n2, n2
 
     def test_p_one_all_uniform(self):
         n1, n2 = self.counts(1.0)
@@ -85,7 +91,7 @@ class TestGenerateCandidates:
         model = RbfSurrogate(dom.to_unit(X), rng.normal(size=5), 0.0, 0.0, dom)
         state = ExploitState(0.0, 0.35, 0.4)  # large spread forces clipping
         cands = generate_candidates(data, dom, state, model, 1500, rng)
-        assert np.all(cands.points >= dom.lower) and np.all(cands.points <= dom.upper)
+        assert np.all(cands >= dom.lower) and np.all(cands <= dom.upper)
 
     def test_tiny_sigma_concentrates_on_best_fit_point(self):
         dom = unit_box()
@@ -95,7 +101,7 @@ class TestGenerateCandidates:
         state = ExploitState(0.0, 0.0, 1e-12)
         cands = generate_candidates(data, dom, state, model, 500, np.random.default_rng(2))
         np.testing.assert_allclose(
-            cands.points, np.tile(clip_to_domain(x_star, dom), (500, 1)), atol=1e-9
+            cands, np.tile(clip_to_domain(x_star, dom), (500, 1)), atol=1e-9
         )
 
     def test_deterministic(self):
@@ -106,22 +112,18 @@ class TestGenerateCandidates:
         b = generate_candidates(
             toy_data(), unit_box(), state, toy_model(), 300, np.random.default_rng(3)
         )
-        np.testing.assert_array_equal(a.points, b.points)
-        np.testing.assert_array_equal(a.type_tags, b.type_tags)
-
-
+        np.testing.assert_array_equal(a, b)
 
 
 class TestSelectBatch:
     def test_weight_one_picks_surrogate_minimum(self):
         rng = np.random.default_rng(4)
         model = toy_model(4)
-        cands = CandidateSet(rng.uniform(0, 1, size=(50, 2)), np.zeros(50, np.uint8))
-        batch, idx = select_batch(
-            cands, model, rng.uniform(0, 1, size=(3, 2)),
-            WeightPattern(np.array([1.0])), return_indices=True,
+        pts = rng.uniform(0, 1, size=(50, 2))
+        idx = select_batch(
+            pts, model, rng.uniform(0, 1, size=(3, 2)), WeightPattern(np.array([1.0]))
         )
-        g = predict_batch(model, cands.points)
+        g = predict_batch(model, pts)
         assert idx[0] == int(np.argmin(g))
 
     def test_weight_floor_prefers_distance(self):
@@ -131,10 +133,7 @@ class TestSelectBatch:
         model = RbfSurrogate(np.array([[0.5, 0.5]]), np.array([0.0]), 0.0, 0.0, unit_box())
         pts = rng.uniform(0, 1, size=(40, 2))
         evaluated = np.array([[0.5, 0.5]])
-        batch, idx = select_batch(
-            CandidateSet(pts, np.zeros(40, np.uint8)), model, evaluated,
-            WeightPattern(np.array([0.3])), return_indices=True,
-        )
+        idx = select_batch(pts, model, evaluated, WeightPattern(np.array([0.3])))
         dists = np.linalg.norm(pts - evaluated[0], axis=1)
         assert idx[0] == int(np.argmax(dists))
 
@@ -145,10 +144,7 @@ class TestSelectBatch:
         g = predict_batch(model, pts)
         evaluated = np.array([[0.0, 0.0]])
         pattern = WeightPattern(np.array([0.3, 1.0]))
-        _, idx = select_batch(
-            CandidateSet(pts, np.zeros(3, np.uint8)), model, evaluated, pattern,
-            return_indices=True,
-        )
+        idx = select_batch(pts, model, evaluated, pattern)
         assert idx == oracle_select(pts, g, evaluated, pattern.weights)
 
     def test_matches_oracle_on_random_instances(self):
@@ -162,20 +158,14 @@ class TestSelectBatch:
             evaluated = rng.uniform(0, 1, size=(int(rng.integers(1, 4)), d))
             weights = np.sort(rng.uniform(0.3, 1.0, size=n_par))
             g = predict_batch(model, pts)
-            _, idx = select_batch(
-                CandidateSet(pts, np.zeros(t, np.uint8)), model, evaluated,
-                WeightPattern(weights), return_indices=True,
-            )
+            idx = select_batch(pts, model, evaluated, WeightPattern(weights))
             assert idx == oracle_select(pts, g, evaluated, weights)
 
     def test_picks_are_distinct(self):
         rng = np.random.default_rng(8)
         model = toy_model(8)
         pts = rng.uniform(0, 1, size=(30, 2))
-        _, idx = select_batch(
-            CandidateSet(pts, np.zeros(30, np.uint8)), model,
-            rng.uniform(0, 1, size=(2, 2)), weight_pattern(6), return_indices=True,
-        )
+        idx = select_batch(pts, model, rng.uniform(0, 1, size=(2, 2)), weight_pattern(6))
         assert len(set(idx)) == 6
 
     def test_monotone_weight_effect(self):
@@ -190,10 +180,7 @@ class TestSelectBatch:
             w1, w2 = sorted(rng.uniform(0.3, 1.0, size=2))
             picks = {}
             for w in (w1, w2):
-                _, idx = select_batch(
-                    CandidateSet(pts, np.zeros(60, np.uint8)), model, evaluated,
-                    WeightPattern(np.array([w])), return_indices=True,
-                )
+                idx = select_batch(pts, model, evaluated, WeightPattern(np.array([w])))
                 picks[w] = idx[0]
             assert g[picks[w2]] <= g[picks[w1]] + 1e-12
 
@@ -201,7 +188,4 @@ class TestSelectBatch:
         model = toy_model()
         pts = np.array([[0.1, 0.1]])
         with pytest.raises(ValueError):
-            select_batch(
-                CandidateSet(pts, np.zeros(1, np.uint8)), model,
-                np.array([[0.5, 0.5]]), weight_pattern(2),
-            )
+            select_batch(pts, model, np.array([[0.5, 0.5]]), weight_pattern(2))

@@ -9,11 +9,10 @@ from prosrs import _kernels
 from prosrs.problem import BoxDomain, EvalDataset
 from prosrs.surrogate import (
     DEFAULT_LAMBDA_GRID,
-    CvConfig,
     RbfSurrogate,
+    _ridge_solutions,
     fit_rbf,
     normalized_responses,
-    predict,
     predict_batch,
     relative_l2_error,
     response_weights,
@@ -27,6 +26,14 @@ def unit_box(d=1):
 
 def multiquadric(r):
     return np.sqrt(1.0 + np.asarray(r, dtype=float) ** 2)
+
+
+def fixed_lambda_model(data, gamma, lam):
+    """The weighted ridge fit at one penalty on the unit box, without cross
+    validation: the refit step of ``fit_rbf``."""
+    phi = _kernels.multiquadric_matrix(data.X, data.X)
+    coef = _ridge_solutions(phi, response_weights(data.y, gamma), data.y, [lam])[0]
+    return RbfSurrogate(data.X, coef, gamma, lam, unit_box(data.dim))
 
 
 class TestWeights:
@@ -57,7 +64,7 @@ class TestPredict:
 
     def test_single_center_at_center(self):
         m = self.model([[0.4]], [2.0])
-        assert predict(m, np.array([0.4])) == pytest.approx(2.0)
+        assert predict_batch(m, np.array([0.4]))[0] == pytest.approx(2.0)
 
     def test_zero_coefficients_everywhere_zero(self):
         m = self.model([[0.2], [0.8]], [0.0, 0.0])
@@ -68,7 +75,7 @@ class TestPredict:
         c = 1.7
         m = self.model([[0.2], [0.8]], [c, c])
         want = 2.0 * c * multiquadric(0.3)
-        assert predict(m, np.array([0.5])) == pytest.approx(want)
+        assert predict_batch(m, np.array([0.5]))[0] == pytest.approx(want)
 
     def test_linear_in_coefficients(self):
         rng = np.random.default_rng(0)
@@ -89,7 +96,7 @@ class TestPredict:
     def test_dimension_mismatch(self):
         m = self.model([[0.4]], [2.0])
         with pytest.raises(ValueError):
-            predict(m, np.array([0.4, 0.2]))
+            predict_batch(m, np.array([0.4, 0.2]))
 
     @pytest.mark.parametrize(
         "rows",
@@ -134,14 +141,14 @@ class TestFit:
 
     def test_exact_recovery_at_tiny_lambda(self):
         # Responses built from a known coefficient vector on three 1-D points;
-        # the fit at a vanishing ridge must reproduce them, matching a direct
-        # linear solve of the interpolation system.
+        # the ridge solve at a vanishing penalty must reproduce them, matching
+        # a direct linear solve of the interpolation system.
         x = np.array([[0.1], [0.5], [0.9]])
         phi = multiquadric(np.abs(x - x[:, 0]))
         c_true = np.array([1.0, -2.0, 0.5])
         y = phi @ c_true
         data = EvalDataset(x, y)
-        model = fit_rbf(data, unit_box(), 0.0, CvConfig(lambda_grid=(1e-12,), n_folds=3))
+        model = fixed_lambda_model(data, 0.0, 1e-12)
         np.testing.assert_allclose(predict_batch(model, x), y, atol=1e-6)
         oracle = np.linalg.solve(phi, y)
         np.testing.assert_allclose(model.coefficients, oracle, atol=1e-4)
@@ -162,7 +169,7 @@ class TestFit:
             X = rng.uniform(0, 1, size=(n, d))
             y = rng.normal(size=n) * 5.0
             data = EvalDataset(X, y)
-            model = fit_rbf(data, unit_box(d), float(-rng.integers(0, 3)), CvConfig(fold_seed=1))
+            model = fit_rbf(data, unit_box(d), float(-rng.integers(0, 3)), fold_seed=1)
             base = training_loss(model, data)
             for j in range(n):
                 for delta in (1e-4, -1e-4):
@@ -181,16 +188,14 @@ class TestFit:
             X = rng.uniform(0, 1, size=(20, 2))
             clean = np.full(20, 5.0)
             noisy = clean + rng.standard_normal(20)
-            m_clean = fit_rbf(EvalDataset(X, clean), dom, 0.0, CvConfig(fold_seed=seed))
-            m_noisy = fit_rbf(EvalDataset(X, noisy), dom, 0.0, CvConfig(fold_seed=seed))
+            m_clean = fit_rbf(EvalDataset(X, clean), dom, 0.0, fold_seed=seed)
+            m_noisy = fit_rbf(EvalDataset(X, noisy), dom, 0.0, fold_seed=seed)
             bigger += m_noisy.lam >= m_clean.lam
         assert bigger >= 6
 
     def test_weighting_tightens_fit_at_best_point(self):
         # Fixed lambda, gamma < 0 vs gamma = 0: the residual at the lowest
         # response should (statistically) not get worse. Ties allowed.
-        dom = unit_box(2)
-        grid = CvConfig(lambda_grid=(1e-2,))
         ok = 0
         improvements = []
         for seed in range(40):
@@ -199,8 +204,8 @@ class TestFit:
             X = rng.uniform(0, 1, size=(n, 2))
             y = np.sin(3 * X[:, 0]) + X[:, 1] ** 2 + 0.3 * rng.standard_normal(n)
             data = EvalDataset(X, y)
-            m0 = fit_rbf(data, dom, 0.0, grid)
-            mw = fit_rbf(data, dom, -4.0, grid)
+            m0 = fixed_lambda_model(data, 0.0, 1e-2)
+            mw = fixed_lambda_model(data, -4.0, 1e-2)
             j = int(np.argmin(y))
             r0 = abs(y[j] - predict_batch(m0, X)[j])
             rw = abs(y[j] - predict_batch(mw, X)[j])

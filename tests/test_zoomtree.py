@@ -114,6 +114,20 @@ class TestEffectiveN:
         data = EvalDataset(pts, np.zeros(8))
         assert effective_n(data, box(0, 1, 3)) == 1
 
+    @pytest.mark.parametrize("d", [63, 64])
+    def test_high_dimension_matches_brute_force(self, d):
+        # 40 points over 2 cells per dimension, drawn from 12 cell patterns
+        # so that cells are shared; a flat cell index would need 2**d cells.
+        rng = np.random.default_rng(d)
+        patterns = rng.integers(0, 2, size=(12, d))
+        cells = patterns[rng.integers(0, 12, size=40)]
+        pts = (cells + rng.uniform(0, 1, size=(40, d))) / 2
+        data = EvalDataset(pts, np.zeros(40))
+        k = 2  # ceil(40 ** (1 / d))
+        want = len({tuple(row) for row in np.clip(np.floor(pts * k), 0, k - 1).astype(int)})
+        assert want == len({tuple(row) for row in cells})
+        assert effective_n(data, box(0, 1, d)) == want
+
 
 class TestZoomIn:
     def cfg(self):
