@@ -30,7 +30,7 @@ import importlib
 import json
 import sys
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +49,7 @@ from .problem import (
     EvaluationError,
     ExploitState,
     Objective,
+    RunConfig,
     default_config,
     stream_seedseq,
 )
@@ -395,8 +396,14 @@ def _spec_from_args(args) -> ExperimentSpec:
         return file_values.get(key, default)
 
     overrides = dict(file_values.get("config", {}))
-    if "s_init" in overrides and isinstance(overrides["s_init"], dict):
-        overrides["s_init"] = ExploitState(**overrides["s_init"])
+    unknown = sorted(set(overrides) - {f.name for f in fields(RunConfig)})
+    if unknown:
+        raise ValueError(f"unknown run parameters in config: {', '.join(unknown)}")
+    if "s_init" in overrides:
+        s_init = overrides["s_init"]
+        if not isinstance(s_init, dict) or set(s_init) != {"gamma", "p", "sigma"}:
+            raise ValueError("config s_init must be an object with exactly gamma, p and sigma")
+        overrides["s_init"] = ExploitState(**s_init)
 
     def pick_run_field(flag, key, default):
         # Run parameters may come from a flag or the file's config block;
@@ -457,7 +464,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         spec = _spec_from_args(args)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, TypeError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -24,7 +24,6 @@ import numpy as np
 
 from .doe import latin_hypercube_maximin
 from .problem import (
-    EvalDataset,
     EvaluationError,
     ExploitState,
     Objective,
@@ -197,30 +196,22 @@ def run_prosrs(
     domain = objective.domain
     d = config.dim
 
-    def doe_points():
-        return latin_hypercube_maximin(config.m_doe, domain, rngs["doe"])
+    def design_batches():
+        points = latin_hypercube_maximin(config.m_doe, domain, rngs["doe"])
+        return [points[i : i + config.n_par] for i in range(0, len(points), config.n_par)]
 
-    def doe_batches(points):
-        return [
-            points[i : i + config.n_par] for i in range(0, len(points), config.n_par)
-        ]
-
-    tree = None
-    next_node_id = 0  # id of the root of the next design's tree
-    pending = doe_batches(doe_points())
-    doe_X, doe_y = [], []
+    tree = ZoomTree(domain, config)
+    pending = design_batches()
 
     def design_step(iteration):
-        """Evaluate the next pending design batch; after the last one, build the tree."""
-        nonlocal tree
+        """Evaluate the next pending design batch and record it into the root."""
         batch = pending.pop(0)
         y, t_eval = rec.evaluate(evaluator, batch)
-        doe_X.append(batch)
-        doe_y.append(y)
+        tree.record_batch(batch, y)
         rec.log(
             iteration=iteration,
             event=EVENT_DOE,
-            node_id=next_node_id,
+            node_id=tree.root.node_id,
             zoom_level=0,
             state_snapshot=config.s_init,
             proposed_x=np.atleast_2d(batch),
@@ -228,13 +219,6 @@ def run_prosrs(
             algo_time_s=0.0,
             eval_time_s=t_eval,
         )
-        if not pending:
-            tree = ZoomTree(
-                EvalDataset(np.vstack(doe_X), np.concatenate(doe_y)),
-                domain,
-                config,
-                first_node_id=next_node_id,
-            )
 
     # Initial design, outside the iteration budget (iteration = 0).
     while pending:
@@ -277,18 +261,16 @@ def run_prosrs(
         event = EVENT_NORMAL
         if node.state.sigma < config.sigma_crit:
             x_star = node.data.X[best_fit_index(node.data, model)]
-            child = tree.zoom_in(x_star, config)
+            child = tree.zoom_in(x_star)
             # fit_rbf needs two points, so a child holding fewer cannot be
             # searched: it restarts like one resolved below the threshold.
             if len(child.data) < 2 or restart_condition(child, domain, config):
                 event = EVENT_RESTART
-                next_node_id = tree.next_node_id
-                pending = doe_batches(doe_points())
-                doe_X, doe_y = [], []
-                tree = None
+                tree.restart()
+                pending = design_batches()
             else:
                 event = EVENT_ZOOM_IN
-        if tree is not None and tree.maybe_zoom_out(rngs["zoomout"]):
+        if tree.maybe_zoom_out(rngs["zoomout"]):
             event = EVENT_ZOOM_OUT
         algo_time += time.perf_counter() - t0
 
@@ -314,6 +296,8 @@ def run_random_search(
 ) -> RunResult:
     """Baseline: each iteration evaluates n_par uniform points (no design)."""
     _check_setup(objective, config)
+    if config.n_iterations < 1:
+        raise ValueError("random search needs n_iterations >= 1: it has no design")
     if evaluator is None:
         evaluator = serial_evaluator(objective)
     rngs = derive_streams(config.seed)

@@ -188,6 +188,8 @@ class RunConfig:
             raise ValueError("n_iterations must be >= 0")
         if self.m_doe < 1:
             raise ValueError("m_doe must be >= 1")
+        if not isinstance(self.s_init, ExploitState):
+            raise ValueError("s_init must be an ExploitState")
         for name in ("sigma_crit", "beta_init", "beta_min", "rho", "r_resolution"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:

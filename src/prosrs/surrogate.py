@@ -188,20 +188,17 @@ def relative_l2_error(
 ) -> float:
     """Monte-Carlo relative L2 error of the model against the true mean.
 
-    ``true_mean`` may be vectorized over row-stacked points or accept single
-    points. Raises if the true mean is (numerically) zero in L2 over the
-    sample, where the ratio is undefined.
+    ``true_mean`` must be vectorized: it maps the (n_mc, d) sample to n_mc
+    values. Raises if it does not, or if the true mean is (numerically) zero
+    in L2 over the sample, where the ratio is undefined.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
     X = domain.sample_uniform(n_mc, rng)
     g = predict_batch(model, X)
-    try:
-        f = np.asarray(true_mean(X), dtype=float)
-    except Exception:
-        f = None
-    if f is None or f.shape != (n_mc,):
-        f = np.array([float(true_mean(x)) for x in X])
+    f = np.asarray(true_mean(X), dtype=float)
+    if f.shape != (n_mc,):
+        raise ValueError(f"true_mean returned shape {f.shape}, expected ({n_mc},)")
     denom = float(np.sqrt(np.mean(f**2)))
     if denom == 0.0:
         raise ValueError("true mean has zero L2 norm over the sample")

@@ -5,11 +5,13 @@ driving proposals there. Zooming in shrinks the domain around the current
 surrogate-best point by the zoom factor (clipped at the parent's walls);
 zooming out returns to the parent with the node's own small probability. Once
 a would-be child is finer than the resolution threshold relative to the root
-domain, the whole tree is discarded and the run restarts from a fresh design.
+domain, the run restarts from a fresh design: its one tree drops every node
+and evaluation and starts again from an empty root.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 
@@ -136,37 +138,34 @@ def restart_condition(child: ZoomNode, root_domain: BoxDomain, config: RunConfig
 
 
 class ZoomTree:
-    """Root/current bookkeeping plus the global archive feeding data refreshes.
+    """Root/current bookkeeping plus the archive feeding data refreshes.
 
+    One tree serves a whole run, and node ids keep counting across restarts.
     The archive holds every evaluation since the last restart; node data is
     re-derived from it on child creation, child revisit, and zoom-out.
     """
 
-    def __init__(self, root_data: EvalDataset, root_domain: BoxDomain, config: RunConfig,
-                 first_node_id: int = 0):
-        self.archive = root_data
-        self._next_id = first_node_id
+    def __init__(self, root_domain: BoxDomain, config: RunConfig):
+        self.root_domain = root_domain
+        self.config = config
+        self._ids = itertools.count()
+        self.restart()
+
+    def restart(self) -> None:
+        """Drop every node and evaluation; a new empty root becomes current."""
+        self.archive = EvalDataset(np.empty((0, self.root_domain.dim)), np.empty(0))
         self.root = ZoomNode(
-            root_data, root_domain, config.s_init, config.beta_init,
-            parent=None, node_id=self._take_id(),
+            self.archive, self.root_domain, self.config.s_init, self.config.beta_init,
+            node_id=next(self._ids),
         )
         self.current = self.root
-
-    def _take_id(self) -> int:
-        nid = self._next_id
-        self._next_id += 1
-        return nid
-
-    @property
-    def next_node_id(self) -> int:
-        return self._next_id
 
     def record_batch(self, X, y) -> None:
         """Append freshly evaluated points to the archive and the current node."""
         self.archive = self.archive.with_batch(X, y)
         self.current.data = self.current.data.with_batch(X, y)
 
-    def zoom_in(self, x_star, config: RunConfig) -> ZoomNode:
+    def zoom_in(self, x_star) -> ZoomNode:
         """Create or revisit the child of the current node around ``x_star``.
 
         If no existing child's domain contains x_star, a new child is created
@@ -189,9 +188,9 @@ class ZoomTree:
             centers = np.array([c.omega.center() for c in containing])
             child = containing[int(np.argmin(np.linalg.norm(centers - x_star, axis=1)))]
             child.data = self.archive.restrict_to(child.omega)
-            child.beta = max(child.beta / 2.0, config.beta_min)
+            child.beta = max(child.beta / 2.0, self.config.beta_min)
         else:
-            half = 0.5 * config.rho * node.omega.side_lengths
+            half = 0.5 * self.config.rho * node.omega.side_lengths
             child_omega = BoxDomain(
                 np.maximum(x_star - half, node.omega.lower),
                 np.minimum(x_star + half, node.omega.upper),
@@ -199,14 +198,14 @@ class ZoomTree:
             child = ZoomNode(
                 self.archive.restrict_to(child_omega),
                 child_omega,
-                config.s_init,
-                config.beta_init,
+                self.config.s_init,
+                self.config.beta_init,
                 parent=node,
-                node_id=self._take_id(),
+                node_id=next(self._ids),
             )
             node.children.append(child)
 
-        node.state = config.s_init
+        node.state = self.config.s_init
         node.fail_counter = 0
         self.current = child
         return child

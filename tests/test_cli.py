@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from prosrs.cli import main
 
@@ -133,6 +134,40 @@ class TestOptimize:
         )
         assert code == 2
         assert "n_par" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"rhoo": 0.5}, "rhoo"),
+            ({"s_init": {"gamma": 0.0, "p": 1.0}}, "s_init"),
+            ({"s_init": {"gamma": 0.0, "p": 1.0, "sigma": 0.1, "tau": 1}}, "s_init"),
+            ({"s_init": [0, 1, 0.1]}, "s_init"),
+            ({"s_init": {"gamma": 0.0, "p": 1.0, "sigma": -0.1}}, "sigma"),
+            ([1], "error"),
+        ],
+    )
+    def test_bad_run_parameters_fail_before_evaluating(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"config": config}))
+        code = run_cli(
+            "optimize", "--problem", "plugin_objectives:unevaluable",
+            "--iterations", "3", "--config", cfg, "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "bench-suite"])
+    def test_random_search_without_iterations_fails_before_evaluating(
+        self, tmp_path, capsys, command
+    ):
+        code = run_cli(
+            command, "--problem", "Dropwave2", "--algo", "random",
+            "--iterations", "0", "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert "n_iterations" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_config_file_with_flag_override(self, tmp_path):

@@ -257,6 +257,16 @@ class TestRandomSearch:
             hits += run_random_search(obj, cfg).y_best < 0.01
         assert hits >= 99
 
+    def test_zero_iterations_rejected_before_evaluating(self):
+        dom = BoxDomain(np.array([0.0]), np.array([1.0]))
+
+        def evaluate(x):
+            raise AssertionError("must not be evaluated")
+
+        cfg = default_config(1, 2, n_iterations=0)
+        with pytest.raises(ValueError, match="n_iterations"):
+            run_random_search(Objective(1, dom, evaluate), cfg)
+
     def test_points_stay_inside_domain(self):
         obj = sphere_objective(3)
         cfg = default_config(3, 4, n_iterations=10, seed=1)

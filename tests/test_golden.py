@@ -28,12 +28,14 @@ ITERATIONS = 15
 SEEDS = (0, 1)
 # (problem, n_par, config overrides). Ackley10 scores a 10 000-point pool;
 # Rastrigin2 runs n_par = 1; SixHumpCamel2 has an anisotropic domain; the
-# Dropwave2 overrides make it zoom in and restart within the budget.
+# Dropwave2 overrides make it zoom in and restart within the budget; the
+# GoldsteinPrice2 overrides make it zoom out too, and restart after that.
 RUNS = (
     ("Ackley10", 4, {}),
     ("Rastrigin2", 1, {}),
     ("SixHumpCamel2", 4, {}),
     ("Dropwave2", 2, {"c_fail": 1, "r_resolution": 0.2}),
+    ("GoldsteinPrice2", 2, {"c_fail": 1, "r_resolution": 0.1, "beta_init": 0.5, "beta_min": 0.25}),
 )
 # (problem, n, seed, repeat) of cli.model_error_trial; n_mc spans several
 # prediction blocks.

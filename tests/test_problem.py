@@ -181,6 +181,11 @@ class TestDefaultConfig:
         assert default_config(3, 12, n_candidates_per_dim=4).n_par == 12
         assert default_config(1, 12, n_candidates_per_dim=12).n_par == 12
 
+    def test_s_init_must_be_an_exploit_state(self):
+        for s_init in ([0.0, 1.0, 0.1], {"gamma": 0.0, "p": 1.0, "sigma": 0.1}):
+            with pytest.raises(ValueError, match="s_init"):
+                default_config(2, 1, s_init=s_init)
+
 
 class TestObjective:
     def test_dimension_must_match_domain(self):

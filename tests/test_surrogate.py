@@ -261,13 +261,8 @@ class TestRelativeL2Error:
                 np.random.default_rng(3),
             )
 
-    def test_accepts_scalar_only_function(self):
+    def test_rejects_true_mean_that_is_not_vectorized(self):
         model = self.fitted()
-        err_vec = relative_l2_error(
-            model, lambda X: np.full(len(X), 3.0), unit_box(2), 100,
-            np.random.default_rng(4),
-        )
-        err_scalar = relative_l2_error(
-            model, lambda x: 3.0, unit_box(2), 100, np.random.default_rng(4)
-        )
-        assert err_vec == pytest.approx(err_scalar)
+        for true_mean in (lambda x: 3.0, lambda X: np.full((len(X), 1), 3.0)):
+            with pytest.raises(ValueError, match="shape"):
+                relative_l2_error(model, true_mean, unit_box(2), 100, np.random.default_rng(4))

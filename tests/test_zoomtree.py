@@ -134,14 +134,14 @@ class TestZoomIn:
         return default_config(2, 1)
 
     def tree(self, rng, n=40, state=ExploitState(0.0, 0.05, 0.01)):
-        X = rng.uniform(0, 1, size=(n, 2))
-        tree = ZoomTree(EvalDataset(X, rng.normal(size=n)), box(0, 1, 2), self.cfg())
+        tree = ZoomTree(box(0, 1, 2), self.cfg())
+        tree.record_batch(rng.uniform(0, 1, size=(n, 2)), rng.normal(size=n))
         tree.root.state = state
         return tree
 
     def test_new_child_domain_is_clipped(self):
         tree = self.tree(np.random.default_rng(2))
-        child = tree.zoom_in(np.array([0.9, 0.5]), self.cfg())
+        child = tree.zoom_in(np.array([0.9, 0.5]))
         np.testing.assert_allclose(child.omega.lower, [0.7, 0.3])
         np.testing.assert_allclose(child.omega.upper, [1.0, 0.7])
         assert child.zoom_level == 1
@@ -152,12 +152,12 @@ class TestZoomIn:
 
     def test_child_data_comes_from_archive(self):
         tree = self.tree(np.random.default_rng(3), 100)
-        tree.zoom_in(np.array([0.5, 0.5]), self.cfg())
+        tree.zoom_in(np.array([0.5, 0.5]))
         # Recorded at the first child: in the archive, not in the root's data.
         tree.record_batch(np.array([[0.6, 0.6]]), np.array([-5.0]))
         assert -5.0 not in tree.root.data.y
         tree.current = tree.root
-        child = tree.zoom_in(np.array([0.75, 0.75]), self.cfg())
+        child = tree.zoom_in(np.array([0.75, 0.75]))
         expect = tree.archive.restrict_to(child.omega)
         np.testing.assert_array_equal(child.data.X, expect.X)
         np.testing.assert_array_equal(child.data.y, expect.y)
@@ -166,61 +166,61 @@ class TestZoomIn:
     def test_parent_state_resets(self):
         tree = self.tree(np.random.default_rng(4), state=ExploitState(-4.0, 0.02, 0.01))
         tree.root.fail_counter = 1
-        tree.zoom_in(np.array([0.5, 0.5]), self.cfg())
+        tree.zoom_in(np.array([0.5, 0.5]))
         assert tree.root.state == self.cfg().s_init
         assert tree.root.fail_counter == 0
 
     def test_revisit_halves_beta_with_floor(self):
         tree = self.tree(np.random.default_rng(5))
-        child = tree.zoom_in(np.array([0.5, 0.5]), self.cfg())
+        child = tree.zoom_in(np.array([0.5, 0.5]))
         tree.current = tree.root
-        again = tree.zoom_in(np.array([0.5, 0.5]), self.cfg())
+        again = tree.zoom_in(np.array([0.5, 0.5]))
         assert again is child
         assert again.beta == pytest.approx(0.01)  # max(0.02/2, 0.01)
         tree.current = tree.root
-        third = tree.zoom_in(np.array([0.5, 0.5]), self.cfg())
+        third = tree.zoom_in(np.array([0.5, 0.5]))
         assert third.beta == pytest.approx(0.01)  # floored
         assert len(tree.root.children) == 1
 
     def test_revisit_keeps_state(self):
         tree = self.tree(np.random.default_rng(6))
-        child = tree.zoom_in(np.array([0.5, 0.5]), self.cfg())
+        child = tree.zoom_in(np.array([0.5, 0.5]))
         child.state = ExploitState(-2.0, 0.03, 0.05)
         child.fail_counter = 1
         tree.current = tree.root
-        assert tree.zoom_in(np.array([0.5, 0.5]), self.cfg()) is child
+        assert tree.zoom_in(np.array([0.5, 0.5])) is child
         assert child.state == ExploitState(-2.0, 0.03, 0.05)
         assert child.fail_counter == 1
 
     def test_revisit_refreshes_data_from_archive(self):
         tree = self.tree(np.random.default_rng(6))
-        child = tree.zoom_in(np.array([0.5, 0.5]), self.cfg())
+        child = tree.zoom_in(np.array([0.5, 0.5]))
         tree.current = tree.root
-        tree.zoom_in(np.array([0.75, 0.75]), self.cfg())
+        tree.zoom_in(np.array([0.75, 0.75]))
         # Recorded at a sibling: in the archive, not in the root's data.
         tree.record_batch(np.array([[0.6, 0.6]]), np.array([-9.0]))
         assert -9.0 not in child.data.y and -9.0 not in tree.root.data.y
         tree.current = tree.root
-        assert tree.zoom_in(np.array([0.4, 0.4]), self.cfg()) is child
+        assert tree.zoom_in(np.array([0.4, 0.4])) is child
         np.testing.assert_array_equal(child.data.y, tree.archive.restrict_to(child.omega).y)
         assert -9.0 in child.data.y
 
     def test_nearest_center_wins_in_overlap(self):
         tree = self.tree(np.random.default_rng(7))
-        a = tree.zoom_in(np.array([0.45, 0.5]), self.cfg())
+        a = tree.zoom_in(np.array([0.45, 0.5]))
         tree.current = tree.root
-        b = tree.zoom_in(np.array([0.66, 0.5]), self.cfg())
+        b = tree.zoom_in(np.array([0.66, 0.5]))
         assert a is not b
         # (0.58, 0.5) lies in both children; b's center (0.66, 0.5) is nearer.
         assert a.omega.contains([0.58, 0.5]) and b.omega.contains([0.58, 0.5])
         tree.current = tree.root
-        chosen = tree.zoom_in(np.array([0.58, 0.5]), self.cfg())
+        chosen = tree.zoom_in(np.array([0.58, 0.5]))
         assert chosen is b
 
     def test_center_outside_domain_raises(self):
         tree = self.tree(np.random.default_rng(8))
         with pytest.raises(ValueError):
-            tree.zoom_in(np.array([1.5, 0.5]), self.cfg())
+            tree.zoom_in(np.array([1.5, 0.5]))
         assert tree.current is tree.root and not tree.root.children
 
 
@@ -270,9 +270,9 @@ class TestRestartCondition:
 class TestMaybeZoomOut:
     def family(self, beta):
         rng = np.random.default_rng(9)
-        X = rng.uniform(0, 1, size=(30, 2))
-        tree = ZoomTree(EvalDataset(X, rng.normal(size=30)), box(0, 1, 2), default_config(2, 1))
-        child = tree.zoom_in(np.array([0.5, 0.5]), default_config(2, 1))
+        tree = ZoomTree(box(0, 1, 2), default_config(2, 1))
+        tree.record_batch(rng.uniform(0, 1, size=(30, 2)), rng.normal(size=30))
+        child = tree.zoom_in(np.array([0.5, 0.5]))
         child.beta = beta
         return tree, child
 
@@ -327,11 +327,11 @@ class TestTreeStructure:
     def test_zoom_levels_and_containment_chain(self):
         cfg = default_config(2, 1)
         rng = np.random.default_rng(10)
-        X = rng.uniform(0, 1, size=(50, 2))
-        tree = ZoomTree(EvalDataset(X, rng.normal(size=50)), box(0, 1, 2), cfg)
+        tree = ZoomTree(box(0, 1, 2), cfg)
+        tree.record_batch(rng.uniform(0, 1, size=(50, 2)), rng.normal(size=50))
         center = np.array([0.31, 0.62])
         for level in range(1, 4):
-            child = tree.zoom_in(center, cfg)
+            child = tree.zoom_in(center)
             assert child.zoom_level == level
             node = child
             while node.parent is not None:
@@ -341,8 +341,8 @@ class TestTreeStructure:
     def test_record_batch_updates_archive_and_node(self):
         cfg = default_config(2, 1)
         rng = np.random.default_rng(11)
-        X = rng.uniform(0, 1, size=(10, 2))
-        tree = ZoomTree(EvalDataset(X, rng.normal(size=10)), box(0, 1, 2), cfg)
+        tree = ZoomTree(box(0, 1, 2), cfg)
+        tree.record_batch(rng.uniform(0, 1, size=(10, 2)), rng.normal(size=10))
         tree.record_batch(np.array([[0.5, 0.5]]), np.array([1.0]))
         assert len(tree.archive) == 11
         assert len(tree.current.data) == 11
@@ -350,14 +350,43 @@ class TestTreeStructure:
     def test_node_ids_are_unique(self):
         cfg = default_config(2, 1)
         rng = np.random.default_rng(12)
-        X = rng.uniform(0, 1, size=(50, 2))
-        tree = ZoomTree(EvalDataset(X, rng.normal(size=50)), box(0, 1, 2), cfg)
+        tree = ZoomTree(box(0, 1, 2), cfg)
+        tree.record_batch(rng.uniform(0, 1, size=(50, 2)), rng.normal(size=50))
         ids = {tree.root.node_id}
         for center in ([0.2, 0.2], [0.8, 0.8], [0.2, 0.8]):
-            child = tree.zoom_in(np.array(center), cfg)
+            child = tree.zoom_in(np.array(center))
             assert child.node_id not in ids
             ids.add(child.node_id)
             tree.current = tree.root
+
+    def test_design_batches_build_the_root_data(self):
+        rng = np.random.default_rng(15)
+        X = rng.uniform(0, 1, size=(7, 2))
+        y = rng.normal(size=7)
+        tree = ZoomTree(box(0, 1, 2), default_config(2, 3))
+        for i in range(0, 7, 3):
+            tree.record_batch(X[i : i + 3], y[i : i + 3])
+        whole = EvalDataset(X, y)
+        for data in (tree.archive, tree.root.data):
+            np.testing.assert_array_equal(data.X, whole.X)
+            np.testing.assert_array_equal(data.y, whole.y)
+        assert tree.current is tree.root
+
+    def test_restart_starts_an_empty_root(self):
+        cfg = default_config(2, 1)
+        rng = np.random.default_rng(16)
+        tree = ZoomTree(box(0, 1, 2), cfg)
+        tree.record_batch(rng.uniform(0, 1, size=(30, 2)), rng.normal(size=30))
+        old_root = tree.root
+        tree.zoom_in(np.array([0.3, 0.3]))
+        last = tree.zoom_in(np.array([0.3, 0.3]))
+        tree.restart()
+        assert len(tree.archive) == 0 and len(tree.root.data) == 0
+        assert tree.current is tree.root and tree.root is not old_root
+        assert tree.root.parent is None and not tree.root.children
+        assert tree.root.zoom_level == 0
+        assert tree.root.state == cfg.s_init and tree.root.beta == cfg.beta_init
+        assert tree.root.node_id == last.node_id + 1
 
     def test_child_data_outside_domain_rejected(self):
         with pytest.raises(ValueError):
@@ -384,9 +413,9 @@ class TestTreeStructure:
     def test_beta_stays_within_bounds_under_revisits(self):
         cfg = default_config(2, 1)
         rng = np.random.default_rng(14)
-        X = rng.uniform(0, 1, size=(60, 2))
-        tree = ZoomTree(EvalDataset(X, rng.normal(size=60)), box(0, 1, 2), cfg)
+        tree = ZoomTree(box(0, 1, 2), cfg)
+        tree.record_batch(rng.uniform(0, 1, size=(60, 2)), rng.normal(size=60))
         for _ in range(10):
             tree.current = tree.root
-            child = tree.zoom_in(np.array([0.5, 0.5]), cfg)
+            child = tree.zoom_in(np.array([0.5, 0.5]))
             assert cfg.beta_min <= child.beta <= cfg.beta_init
