@@ -260,18 +260,17 @@ def model_error_trial(
     """One cell of the regression study: sample, fit unweighted, score.
 
     Draws an n-point Latin hypercube design, evaluates it with the problem's
-    noise, fits the cross-validated model with weighting disabled, and returns
+    noise, fits the GCV-penalized model with weighting disabled, and returns
     the Monte-Carlo relative L2 error against the true mean.
     """
     name_key = zlib.crc32(problem.name.encode())
     seq = np.random.SeedSequence([base_seed, name_key, n, repeat])
-    design_seq, noise_seq, mc_seq, fold_seq = seq.spawn(4)
+    design_seq, noise_seq, mc_seq = seq.spawn(3)
     design_rng = np.random.default_rng(design_seq)
     X = latin_hypercube_maximin(n, problem.domain, design_rng, n_restarts=1)
     noise_rng = np.random.default_rng(noise_seq)
     y = np.asarray(problem.true_mean(X)) + problem.noise_std * noise_rng.standard_normal(n)
-    fold_seed = int(fold_seq.generate_state(1)[0])
-    model = fit_rbf(EvalDataset(X, y), problem.domain, gamma=0.0, fold_seed=fold_seed)
+    model = fit_rbf(EvalDataset(X, y), problem.domain, gamma=0.0)
     return relative_l2_error(
         model, problem.true_mean, problem.domain, n_mc, np.random.default_rng(mc_seq)
     )

@@ -235,8 +235,7 @@ def run_prosrs(
         state = node.state
 
         t0 = time.perf_counter()
-        fold_seed = int(rngs["cv"].integers(0, 2**63))
-        model = fit_rbf(node.data, node.omega, state.gamma, fold_seed)
+        model = fit_rbf(node.data, node.omega, state.gamma)
         candidates = generate_candidates(
             node.data,
             node.omega,

@@ -8,7 +8,8 @@ immutable value objects and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -180,6 +181,13 @@ class RunConfig:
     seed: int
 
     def __post_init__(self):
+        # Types first, so a config-file "0.5" or 4.5 fails here and not mid-run.
+        for f in fields(self):
+            want = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
+            v = getattr(self, f.name)
+            if want is not None and (isinstance(v, bool) or not isinstance(v, want)):
+                kind = "an integer" if f.type == "int" else "a number"
+                raise ValueError(f"{f.name} must be {kind}, got {v!r}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.n_par < 1:
@@ -258,7 +266,9 @@ class Objective:
 
 
 # Names of the independent generator streams one master seed fans out into.
-# Fixed order so stream derivation is stable across versions.
+# A name's position is its spawn index, so the order is fixed across versions.
+# "cv" is a reserved slot that nothing draws from; it stays so that "noise"
+# keeps its spawn index and therefore its draws.
 STREAM_NAMES = ("doe", "candidates", "zoomout", "cv", "noise")
 
 
@@ -266,9 +276,9 @@ def derive_streams(seed: int) -> dict[str, np.random.Generator]:
     """Split one master seed into the named independent generator streams.
 
     Every source of randomness in a run (DOE designs, candidate draws,
-    zoom-out coin flips, CV fold shuffles, benchmark noise) pulls from one of
-    these, so a run is bit-reproducible given the seed and a deterministic
-    evaluator.
+    zoom-out coin flips, benchmark noise) pulls from one of these, so a run is
+    bit-reproducible given the seed and a deterministic evaluator. The "cv"
+    stream is derived but unused.
     """
     children = np.random.SeedSequence(seed).spawn(len(STREAM_NAMES))
     return {name: np.random.default_rng(s) for name, s in zip(STREAM_NAMES, children)}

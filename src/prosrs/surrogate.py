@@ -1,4 +1,4 @@
-"""Weighted multiquadric radial basis regression with a cross-validated ridge.
+"""Weighted multiquadric radial basis regression with a GCV-chosen ridge.
 
 The model is g(x) = sum_i c_i * phi(||x - x_i||) with phi(r) = sqrt(1 + r^2),
 built in unit-cube-normalized coordinates. Coefficients minimize the weighted
@@ -8,10 +8,11 @@ ridge loss
 
 where yhat is the dataset-normalized response (0 everywhere if the responses
 are constant) and gamma <= 0, so more negative gamma concentrates accuracy on
-the low-response points. lambda is picked by k-fold cross validation over a
-log-spaced grid, scoring held-out points with the same weights, then the model
-is refit on all data at the winning value. ``fit_rbf`` returns the fitted
-``RbfSurrogate``; ``predict_batch`` evaluates it at row-stacked points.
+the low-response points. lambda is the value on a log-spaced grid with the
+lowest weighted generalized cross-validation score (Golub, Heath & Wahba,
+Technometrics 1979); one decomposition scores the whole grid and yields the
+coefficients, and the fit draws no random numbers. ``fit_rbf`` returns the
+fitted ``RbfSurrogate``; ``predict_batch`` evaluates it at row-stacked points.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import numpy as np
 from ._kernels import multiquadric_matrix, row_blocks
 from .problem import BoxDomain, EvalDataset
 
-# Cross-validation folds (fewer when there are fewer points).
-N_FOLDS = 5
 # 1e-8 .. 1e2, log-spaced, 11 points.
 DEFAULT_LAMBDA_GRID = tuple(float(10.0**k) for k in range(-8, 3))
 
@@ -68,41 +67,19 @@ def response_weights(y: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(gamma * normalized_responses(y))
 
 
-def _ridge_solutions(phi_tr, w_tr, y_tr, lambdas):
-    """Solve the weighted normal equations for every lambda at once.
+def fit_rbf(data: EvalDataset, domain: BoxDomain, gamma: float) -> RbfSurrogate:
+    """Fit the weighted multiquadric model, its ridge penalty chosen by GCV.
 
-    One symmetric eigendecomposition serves the whole grid. Returns a list of
-    coefficient vectors, with None for grid points where the system is
-    singular (non-positive spectrum after shifting), which are skipped.
-    """
-    gram = phi_tr.T @ (w_tr[:, None] * phi_tr)
-    rhs = phi_tr.T @ (w_tr * y_tr)
-    evals, vecs = np.linalg.eigh(gram)
-    rhs_rot = vecs.T @ rhs
-    out = []
-    for lam in lambdas:
-        shifted = evals + lam
-        if shifted.min() <= 0:
-            out.append(None)
-            continue
-        out.append(vecs @ (rhs_rot / shifted))
-    return out
-
-
-def fit_rbf(
-    data: EvalDataset,
-    domain: BoxDomain,
-    gamma: float,
-    fold_seed: int = 0,
-) -> RbfSurrogate:
-    """Fit the weighted multiquadric model with cross-validated ridge penalty.
-
-    Points are mapped to the unit cube via ``domain``. Response normalization
-    and weights are computed once from the full dataset (not per fold), the
-    min(N_FOLDS, n) folds come from a random permutation seeded by
-    ``fold_seed``, and held-out residuals are scored with the same weights.
-    The penalty is the best value on DEFAULT_LAMBDA_GRID. Requires at least
-    two records; returns the model refit on all of them.
+    Points are mapped to the unit cube via ``domain``. With A = W^(1/2) Phi,
+    b = W^(1/2) y and one singular value decomposition A = U diag(s) V^T,
+    every penalty on DEFAULT_LAMBDA_GRID has alpha = U diag(1 / (s^2 +
+    lambda)) U^T b, residual (I - H) b = lambda * alpha and tr(I - H) = lambda
+    * sum 1 / (s^2 + lambda). Lambda cancels from the generalized
+    cross-validation score n * |(I - H) b|^2 / tr(I - H)^2, so the score is
+    n * |alpha|^2 / (sum 1 / (s^2 + lambda))^2, and the lowest one wins. The
+    coefficients A^T alpha are formed as V diag(s / (s^2 + lambda)) U^T b,
+    which stays accurate where A is nearly singular. Requires at least two
+    records.
     """
     n = len(data)
     if n < 2:
@@ -111,44 +88,24 @@ def fit_rbf(
         raise ValueError("gamma must be non-positive")
 
     centers = domain.to_unit(data.X)
-    y = data.y
-    w = response_weights(y, gamma)
-    phi = multiquadric_matrix(centers, centers)
+    sqrt_w = np.sqrt(response_weights(data.y, gamma))
+    u, s, vt = np.linalg.svd(sqrt_w[:, None] * multiquadric_matrix(centers, centers))
+    ub = u.T @ (sqrt_w * data.y)
 
-    rng = np.random.default_rng(fold_seed)
-    k = min(N_FOLDS, n)
-    folds = np.array_split(rng.permutation(n), k)
+    shifted = s**2 + np.array(DEFAULT_LAMBDA_GRID)[:, None]
+    scores = n * np.sum((ub / shifted) ** 2, axis=1) / np.sum(1.0 / shifted, axis=1) ** 2
+    # s^2 + lambda >= lambda > 0, so no grid point is singular; a grid point is
+    # unusable only when its score is not finite.
+    finite = np.isfinite(scores)
+    if not finite.any():
+        raise ValueError("no lambda on the grid gives a finite GCV score")
+    best = int(np.argmin(np.where(finite, scores, np.inf)))
 
-    scores = np.zeros(len(DEFAULT_LAMBDA_GRID))
-    usable = np.ones(len(DEFAULT_LAMBDA_GRID), dtype=bool)
-    for fold in folds:
-        mask = np.zeros(n, dtype=bool)
-        mask[fold] = True
-        tr = np.flatnonzero(~mask)
-        te = np.flatnonzero(mask)
-        solutions = _ridge_solutions(phi[np.ix_(tr, tr)], w[tr], y[tr], DEFAULT_LAMBDA_GRID)
-        phi_te = phi[np.ix_(te, tr)]
-        for i, coef in enumerate(solutions):
-            if coef is None:
-                usable[i] = False
-                continue
-            resid = y[te] - phi_te @ coef
-            scores[i] += float(np.dot(w[te], resid**2))
-    usable &= np.isfinite(scores)
-    if not usable.any():
-        raise ValueError("every lambda on the grid produced a singular system")
-    scores = np.where(usable, scores, np.inf)
-    best = int(np.argmin(scores))
-    lam = DEFAULT_LAMBDA_GRID[best]
-
-    coef = _ridge_solutions(phi, w, y, [lam])[0]
-    if coef is None:
-        raise ValueError(f"final refit is singular at lambda={lam}")
     return RbfSurrogate(
         centers=centers,
-        coefficients=coef,
+        coefficients=vt.T @ (s * ub / shifted[best]),
         gamma=float(gamma),
-        lam=lam,
+        lam=DEFAULT_LAMBDA_GRID[best],
         norm_record=domain,
     )
 
@@ -170,13 +127,6 @@ def predict_batch(model: RbfSurrogate, X) -> np.ndarray:
     for block in row_blocks(u.shape[0]):
         out[block] = multiquadric_matrix(u[block], model.centers) @ model.coefficients
     return out
-
-
-def training_loss(model: RbfSurrogate, data: EvalDataset) -> float:
-    """Weighted ridge loss of ``model`` on ``data`` (the fit objective)."""
-    w = response_weights(data.y, model.gamma)
-    resid = data.y - predict_batch(model, data.X)
-    return float(np.dot(w, resid**2) + model.lam * np.dot(model.coefficients, model.coefficients))
 
 
 def relative_l2_error(

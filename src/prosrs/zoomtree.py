@@ -25,7 +25,6 @@ __all__ = [
     "update_state",
     "effective_n",
     "restart_condition",
-    "max_zoom_level",
 ]
 
 logger = logging.getLogger(__name__)
@@ -62,11 +61,6 @@ class ZoomNode:
         self.zoom_level = 0 if parent is None else parent.zoom_level + 1
         self.fail_counter = 0
         self.node_id = node_id
-
-
-def max_zoom_level(rho: float, r_resolution: float) -> int:
-    """Depth bound ceil(log_rho r): no deeper node can escape the restart check."""
-    return math.ceil(math.log(r_resolution) / math.log(rho))
 
 
 def update_state(node: ZoomNode, n_eff: int, iteration_failed: bool, config: RunConfig) -> None:

@@ -145,6 +145,8 @@ class TestOptimize:
             ({"s_init": [0, 1, 0.1]}, "s_init"),
             ({"s_init": {"gamma": 0.0, "p": 1.0, "sigma": -0.1}}, "sigma"),
             ([1], "error"),
+            ({"rho": "0.5"}, "rho"),
+            ({"n_candidates_per_dim": 4.5}, "n_candidates_per_dim"),
         ],
     )
     def test_bad_run_parameters_fail_before_evaluating(self, tmp_path, capsys, config, message):

@@ -10,14 +10,14 @@ from prosrs.problem import BoxDomain, EvalDataset
 from prosrs.surrogate import (
     DEFAULT_LAMBDA_GRID,
     RbfSurrogate,
-    _ridge_solutions,
     fit_rbf,
     normalized_responses,
     predict_batch,
     relative_l2_error,
     response_weights,
-    training_loss,
 )
+
+from oracles import fixed_lambda_model, gcv_scores, training_loss
 
 
 def unit_box(d=1):
@@ -26,14 +26,6 @@ def unit_box(d=1):
 
 def multiquadric(r):
     return np.sqrt(1.0 + np.asarray(r, dtype=float) ** 2)
-
-
-def fixed_lambda_model(data, gamma, lam):
-    """The weighted ridge fit at one penalty on the unit box, without cross
-    validation: the refit step of ``fit_rbf``."""
-    phi = _kernels.multiquadric_matrix(data.X, data.X)
-    coef = _ridge_solutions(phi, response_weights(data.y, gamma), data.y, [lam])[0]
-    return RbfSurrogate(data.X, coef, gamma, lam, unit_box(data.dim))
 
 
 class TestWeights:
@@ -169,7 +161,7 @@ class TestFit:
             X = rng.uniform(0, 1, size=(n, d))
             y = rng.normal(size=n) * 5.0
             data = EvalDataset(X, y)
-            model = fit_rbf(data, unit_box(d), float(-rng.integers(0, 3)), fold_seed=1)
+            model = fit_rbf(data, unit_box(d), float(-rng.integers(0, 3)))
             base = training_loss(model, data)
             for j in range(n):
                 for delta in (1e-4, -1e-4):
@@ -179,7 +171,7 @@ class TestFit:
                     assert training_loss(perturbed, data) - base >= -1e-10
 
     def test_noise_selects_larger_lambda(self):
-        # On a flat landscape, noisy responses should push CV toward at least
+        # On a flat landscape, noisy responses should push GCV toward at least
         # as much regularization as clean ones.
         dom = unit_box(2)
         bigger = 0
@@ -188,8 +180,8 @@ class TestFit:
             X = rng.uniform(0, 1, size=(20, 2))
             clean = np.full(20, 5.0)
             noisy = clean + rng.standard_normal(20)
-            m_clean = fit_rbf(EvalDataset(X, clean), dom, 0.0, fold_seed=seed)
-            m_noisy = fit_rbf(EvalDataset(X, noisy), dom, 0.0, fold_seed=seed)
+            m_clean = fit_rbf(EvalDataset(X, clean), dom, 0.0)
+            m_noisy = fit_rbf(EvalDataset(X, noisy), dom, 0.0)
             bigger += m_noisy.lam >= m_clean.lam
         assert bigger >= 6
 
@@ -213,6 +205,29 @@ class TestFit:
             ok += rw <= r0 + 1e-12
         assert ok >= 36
         assert np.mean(improvements) > 0
+
+    @pytest.mark.parametrize("gamma", [0.0, -2.0, -4.0])
+    def test_lambda_minimizes_gcv_and_coefficients_solve_normal_equations(self, gamma):
+        # The chosen penalty is the grid argmin of the GCV score computed from
+        # the explicit hat matrix, and the coefficients solve the weighted
+        # normal equations at that penalty.
+        rng = np.random.default_rng(int(-gamma))
+        chosen = set()
+        for _ in range(20):
+            n = int(rng.integers(4, 25))
+            d = int(rng.integers(1, 4))
+            X = rng.uniform(0, 1, size=(n, d))
+            y = np.sin(3 * X.sum(axis=1)) + rng.uniform(0.0, 1.0) * rng.standard_normal(n)
+            model = fit_rbf(EvalDataset(X, y), unit_box(d), gamma)
+            phi = _kernels.multiquadric_matrix(X, X)
+            w = response_weights(y, gamma)
+            scores = gcv_scores(phi, w, y, DEFAULT_LAMBDA_GRID)
+            assert model.lam == DEFAULT_LAMBDA_GRID[int(np.argmin(scores))]
+            chosen.add(model.lam)
+            gram = phi.T @ (w[:, None] * phi) + model.lam * np.eye(n)
+            rhs = phi.T @ (w * y)
+            assert np.linalg.norm(gram @ model.coefficients - rhs) <= 1e-8 * np.linalg.norm(rhs)
+        assert len(chosen) >= 3
 
     def test_constant_responses_fit(self):
         rng = np.random.default_rng(5)

@@ -8,10 +8,11 @@ from prosrs.zoomtree import (
     ZoomNode,
     ZoomTree,
     effective_n,
-    max_zoom_level,
     restart_condition,
     update_state,
 )
+
+from oracles import max_zoom_level
 
 
 def box(lo, hi, d=None):
