@@ -5,9 +5,18 @@ takes the minimum of each block's squared distances and one square root at
 the end, so its memory is O(BLOCK_ROWS * len(refs)) however many points are
 queried. sqrt is monotone and correctly rounded, so the result is the same as
 the minimum of the distances.
+
+``one_blas_thread`` pins every loaded OpenBLAS to one thread while a run is
+inside it. A run makes thousands of small dense solves and products (n in the
+hundreds at most), for which a second BLAS thread costs CPU without saving
+time.
 """
 
 from __future__ import annotations
+
+import ctypes
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -63,3 +72,75 @@ def multiquadric_matrix(a, b) -> np.ndarray:
     out = cdist(_c2d(a), _c2d(b), "sqeuclidean")
     out += 1.0
     return np.sqrt(out, out=out)
+
+
+# The nesting depth of one_blas_thread, the thread counts its outermost entry
+# saved, and the (get, set) thread-count functions of every loaded OpenBLAS,
+# looked up on first use; all guarded by the lock.
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved: list = []
+_blas_functions: list | None = None
+
+
+def _openblas_functions() -> list:
+    """(get, set) thread-count functions of every OpenBLAS in this process.
+
+    The libraries are found in the process's memory map, so none are found
+    off Linux; a library that exports neither the plain nor the scipy-openblas
+    names (32- or 64-bit integer builds) is skipped.
+    """
+    global _blas_functions
+    if _blas_functions is not None:
+        return _blas_functions
+    paths = set()
+    try:
+        with open("/proc/self/maps") as maps:
+            for line in maps:
+                fields = line.split(maxsplit=5)
+                if len(fields) == 6 and "openblas" in fields[5].lower():
+                    paths.add(fields[5].strip())
+    except OSError:
+        pass
+    _blas_functions = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("openblas", "scipy_openblas"):
+            for suffix in ("", "64_"):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    _blas_functions.append((get, set_))
+    return _blas_functions
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block (or, as ``@one_blas_thread()``, the function) with every
+    loaded OpenBLAS on one thread, and restore the previous counts after it.
+
+    Nested and overlapping uses, from any thread, share one pin: the outermost
+    entry saves the counts and the last exit restores them. Where no OpenBLAS
+    is loaded this does nothing.
+    """
+    global _blas_depth, _blas_saved
+    with _blas_lock:
+        if _blas_depth == 0:
+            functions = _openblas_functions()
+            _blas_saved = [get() for get, _ in functions]
+            for _, set_ in functions:
+                set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for (_, set_), count in zip(_blas_functions, _blas_saved):
+                    set_(count)

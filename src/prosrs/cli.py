@@ -15,11 +15,16 @@ Subcommands:
 * ``cost-profile`` — an ``optimize`` run with per-iteration timing rows and a
                      late/early cost-ratio summary.
 
-A JSON config file may supply any flag (keys: problem, algo, repeats, seed,
-out, and a nested "config" object with run-parameter overrides such as n_par,
-n_iterations, or s_init). Command-line flags win over file values. Exit codes:
-0 success, 2 configuration error, 3 evaluator failure (partial logs are
-flushed).
+``optimize`` and ``bench-suite`` take ``--jobs K`` (default 1): the (problem,
+seed) repeats then run on K spawned worker processes, and this process writes
+every file in the order and with the bytes that ``--jobs 1`` writes. Each run
+holds OpenBLAS to one thread, so K workers use about K cores.
+
+A JSON config file may supply any flag (keys: problem, algo, repeats, jobs,
+seed, out, and a nested "config" object with run-parameter overrides such as
+n_par, n_iterations, or s_init). Command-line flags win over file values. Exit
+codes: 0 success, 2 configuration error, 3 evaluator failure (partial logs are
+flushed: the runs before the failing one, and its own log up to the failure).
 """
 
 from __future__ import annotations
@@ -28,13 +33,18 @@ import argparse
 import csv
 import importlib
 import json
+import multiprocessing
 import sys
 import zlib
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from ._kernels import one_blas_thread
 from .benchmarks import (
     BENCHMARK_NAMES,
     BenchmarkProblem,
@@ -73,6 +83,7 @@ class ExperimentSpec:
     n_par: int = 4
     n_iterations: int = 50
     n_repeats: int = 1
+    jobs: int = 1
     seed: int = 0
     out: str = "results"
     config_overrides: dict = field(default_factory=dict)
@@ -160,19 +171,10 @@ def _write_csv(path: Path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_summary(path: Path, result, spec: ExperimentSpec, seed: int, problem_name: str):
+def _write_json(path: Path, obj):
     path.parent.mkdir(parents=True, exist_ok=True)
-    summary = {
-        "problem": problem_name,
-        "algo": spec.algo,
-        "seed": seed,
-        "x_best": [float(v) for v in np.atleast_1d(result.x_best)],
-        "y_best": float(result.y_best),
-        "n_evaluations": int(result.n_evaluations),
-        "config": asdict(result.config_echo),
-    }
     with open(path, "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
+        json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
@@ -194,34 +196,79 @@ def _aggregate_rows(per_run_rows):
     return out
 
 
-def _optimize_into(spec: ExperimentSpec, out_dir: Path, problem_name: str):
-    """Run all repeats of one problem, write per-run and aggregate files.
+def _run_repeat(spec: ExperimentSpec, problem_name: str, seed: int):
+    """Run one (problem, seed) repeat and return what its files hold.
 
-    Returns the per-run row lists (for suite summaries). On evaluator failure
-    the partial log of the failing run is still written before re-raising.
+    Returns ``(header, rows, summary, error)``. When the evaluator fails, the
+    rows are the partial log, ``summary`` is None and ``error`` is the
+    EvaluationError's message; otherwise ``error`` is None. A module-level
+    function of plain results, so a worker process can run it.
     """
-    per_run_rows = []
-    for rep in range(spec.n_repeats):
-        seed = spec.seed + rep
-        problem = _load_problem(problem_name, seed)
-        full_header = [*RUN_CSV_COMMON, _objective_column(problem), *RUN_CSV_TAIL]
-        base = out_dir / f"{_slug(problem_name)}_{spec.algo}_seed{seed}"
-        try:
-            result = _run_once(problem, spec, seed)
-        except EvaluationError as exc:
-            rows = _run_rows(exc.logs, problem, spec.real_timing)
-            _write_csv(base.with_suffix(".csv"), full_header, rows)
-            raise
-        rows = _run_rows(result.logs, problem, spec.real_timing)
-        _write_csv(base.with_suffix(".csv"), full_header, rows)
-        _write_summary(base.with_suffix(".json"), result, spec, seed, problem_name)
-        per_run_rows.append(rows)
-    agg = _aggregate_rows(per_run_rows)
-    _write_csv(
-        out_dir / f"{_slug(problem_name)}_{spec.algo}_aggregate.csv",
-        ["iteration", "mean_objective", "std_objective"],
-        agg,
-    )
+    problem = _load_problem(problem_name, seed)
+    header = [*RUN_CSV_COMMON, _objective_column(problem), *RUN_CSV_TAIL]
+    try:
+        result = _run_once(problem, spec, seed)
+    except EvaluationError as exc:
+        return header, _run_rows(exc.logs, problem, spec.real_timing), None, str(exc)
+    summary = {
+        "problem": problem_name,
+        "algo": spec.algo,
+        "seed": seed,
+        "x_best": [float(v) for v in np.atleast_1d(result.x_best)],
+        "y_best": float(result.y_best),
+        "n_evaluations": int(result.n_evaluations),
+        "config": asdict(result.config_echo),
+    }
+    return header, _run_rows(result.logs, problem, spec.real_timing), summary, None
+
+
+@contextmanager
+def _repeat_outputs(spec: ExperimentSpec, tasks):
+    """The ``_run_repeat`` output of each (problem, seed) task, in task order.
+
+    With one worker (``spec.jobs`` 1, or a single task) each task runs in
+    this process when its output is taken. Otherwise the tasks run ahead on
+    that many spawned worker processes; leaving the block cancels the ones
+    not yet started.
+    """
+    names, seeds = zip(*tasks)
+    workers = min(spec.jobs, len(tasks))
+    if workers == 1:
+        yield map(partial(_run_repeat, spec), names, seeds)
+        return
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        yield pool.map(partial(_run_repeat, spec), names, seeds)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _optimize_into(spec: ExperimentSpec, problems) -> list:
+    """Run all repeats of each problem and write its per-run and aggregate files.
+
+    ``problems`` lists (problem name, output directory) pairs. Returns the
+    per-run row lists of each problem, in order (for suite summaries). Files
+    are written in problem, then seed order, whatever ``spec.jobs`` is. On an
+    evaluator failure the partial log of the failing run is written, nothing
+    after it, and the failure is raised as an EvaluationError.
+    """
+    tasks = [(i, spec.seed + rep) for i in range(len(problems)) for rep in range(spec.n_repeats)]
+    per_run_rows = [[] for _ in problems]
+    with _repeat_outputs(spec, [(problems[i][0], seed) for i, seed in tasks]) as outputs:
+        for (i, seed), (header, rows, summary, error) in zip(tasks, outputs):
+            name, out_dir = problems[i]
+            base = out_dir / f"{_slug(name)}_{spec.algo}_seed{seed}"
+            _write_csv(base.with_suffix(".csv"), header, rows)
+            if error is not None:
+                raise EvaluationError(error)
+            _write_json(base.with_suffix(".json"), summary)
+            per_run_rows[i].append(rows)
+            if len(per_run_rows[i]) == spec.n_repeats:
+                _write_csv(
+                    out_dir / f"{_slug(name)}_{spec.algo}_aggregate.csv",
+                    ["iteration", "mean_objective", "std_objective"],
+                    _aggregate_rows(per_run_rows[i]),
+                )
     return per_run_rows
 
 
@@ -230,17 +277,16 @@ def _slug(name: str) -> str:
 
 
 def cmd_optimize(spec: ExperimentSpec) -> int:
-    out_dir = Path(spec.out)
-    _optimize_into(spec, out_dir, spec.problem)
+    _optimize_into(spec, [(spec.problem, Path(spec.out))])
     return EXIT_OK
 
 
 def cmd_bench_suite(spec: ExperimentSpec) -> int:
     names = spec.problem.split(",") if spec.problem else list(BENCHMARK_NAMES)
     out_dir = Path(spec.out)
+    per_problem = _optimize_into(spec, [(name, out_dir / _slug(name)) for name in names])
     summary_rows = []
-    for name in names:
-        per_run_rows = _optimize_into(spec, out_dir / _slug(name), name)
+    for name, per_run_rows in zip(names, per_problem):
         finals = np.array([rows[-1][4] for rows in per_run_rows])
         summary_rows.append(
             [name, spec.algo, spec.n_repeats, float(np.median(finals)),
@@ -254,6 +300,7 @@ def cmd_bench_suite(spec: ExperimentSpec) -> int:
     return EXIT_OK
 
 
+@one_blas_thread()
 def model_error_trial(
     problem: BenchmarkProblem, n: int, base_seed: int, repeat: int, n_mc: int = 100_000
 ) -> float:
@@ -261,7 +308,8 @@ def model_error_trial(
 
     Draws an n-point Latin hypercube design, evaluates it with the problem's
     noise, fits the GCV-penalized model with weighting disabled, and returns
-    the Monte-Carlo relative L2 error against the true mean.
+    the Monte-Carlo relative L2 error against the true mean. OpenBLAS runs
+    on one thread until the call returns or raises.
     """
     name_key = zlib.crc32(problem.name.encode())
     seq = np.random.SeedSequence([base_seed, name_key, n, repeat])
@@ -331,10 +379,7 @@ def cmd_cost_profile(spec: ExperimentSpec) -> int:
         "n_rows": len(rows),
         "late_over_early_median_ratio": cost_ratio(algo_times) if len(rows) >= 70 else None,
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(str(base) + "_cost_summary.json", "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(Path(str(base) + "_cost_summary.json"), summary)
     return EXIT_OK
 
 
@@ -354,8 +399,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
         p.add_argument("--config", help="JSON config file")
 
+    def add_jobs(p):
+        p.add_argument(
+            "--jobs", type=int,
+            help="worker processes for the repeats (default 1: run them in this process)",
+        )
+
     p_opt = sub.add_parser("optimize", help="run an optimization experiment")
     add_common(p_opt)
+    add_jobs(p_opt)
     p_opt.add_argument(
         "--deterministic-timing",
         action="store_true",
@@ -364,6 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_suite = sub.add_parser("bench-suite", help="optimize across benchmarks")
     add_common(p_suite)
+    add_jobs(p_suite)
     p_suite.add_argument(
         "--real-timing",
         action="store_true",
@@ -423,6 +476,7 @@ def _spec_from_args(args) -> ExperimentSpec:
         n_par=int(pick_run_field("n_par", "n_par", 4)),
         n_iterations=int(pick_run_field("iterations", "n_iterations", 50)),
         n_repeats=int(pick("repeats", "repeats", default_repeats)),
+        jobs=pick("jobs", "jobs", 1),
         seed=int(pick_run_field("seed", "seed", 0)),
         out=pick("out", "out", "results"),
         config_overrides=overrides,
@@ -431,6 +485,8 @@ def _spec_from_args(args) -> ExperimentSpec:
         raise ValueError("--problem is required")
     if spec.n_repeats < 1:
         raise ValueError("repeats must be >= 1")
+    if type(spec.jobs) is not int or spec.jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {spec.jobs!r}")
     if spec.algo not in ("prosrs", "random"):
         raise ValueError("algo must be 'prosrs' or 'random'")
 
@@ -441,12 +497,20 @@ def _spec_from_args(args) -> ExperimentSpec:
     if spec.command == "model-error":
         n_values = pick("n_values", "n_values", None)
         if isinstance(n_values, str):
-            spec.n_values = tuple(int(v) for v in n_values.split(","))
+            spec.n_values = tuple(int(v) for v in n_values.split(",")) if n_values else ()
         elif n_values is not None:
             spec.n_values = tuple(int(v) for v in n_values)
         n_mc = pick("n_mc", "n_mc", None)
         if n_mc is not None:
             spec.n_mc = int(n_mc)
+        # Checked here, not in the first trial that meets them, so a bad
+        # value ends the command before any trial runs.
+        if not spec.n_values:
+            raise ValueError("n-values must list at least one training size")
+        if min(spec.n_values) < 2:
+            raise ValueError(f"each n-value must be >= 2 (a fit needs 2 points): {spec.n_values}")
+        if spec.n_mc < 1:
+            raise ValueError(f"n-mc must be >= 1, got {spec.n_mc}")
     return spec
 
 

@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._kernels import one_blas_thread
 from .doe import latin_hypercube_maximin
 from .problem import (
     EvaluationError,
@@ -176,6 +177,7 @@ def _check_setup(objective: Objective, config: RunConfig):
         )
 
 
+@one_blas_thread()
 def run_prosrs(
     objective: Objective,
     config: RunConfig,
@@ -186,7 +188,8 @@ def run_prosrs(
     The initial design is evaluated in n_par-sized barrier batches before the
     loop and does not consume the iteration budget; design batches after a
     restart do. Returns the evaluated point with the lowest response over the
-    entire run, including evaluations made before any restart.
+    entire run, including evaluations made before any restart. OpenBLAS runs
+    on one thread until the call returns or raises, evaluator calls included.
     """
     _check_setup(objective, config)
     if evaluator is None:

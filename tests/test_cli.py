@@ -220,6 +220,68 @@ class TestBenchSuite:
         assert all(r["algo_time_s"] == "0.0" and r["eval_time_s"] == "0.0" for r in rows)
 
 
+def file_tree(root):
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestJobs:
+    """``--jobs 2`` runs the repeats in worker processes; the files must not change."""
+
+    @pytest.mark.parametrize(
+        "args, n_files",
+        [
+            (("bench-suite", "--problem", "Dropwave2,SixHumpCamel2", "--repeats", "2"), 11),
+            (("optimize", "--problem", "Dropwave2", "--repeats", "3",
+              "--deterministic-timing"), 7),
+        ],
+        ids=["bench-suite", "optimize"],
+    )
+    def test_two_jobs_write_the_same_tree_as_one(self, tmp_path, args, n_files):
+        args = (*args, "--n-par", "2", "--iterations", "4", "--seed", "3")
+        assert run_cli(*args, "--jobs", "1", "--out", tmp_path / "one") == 0
+        assert run_cli(*args, "--jobs", "2", "--out", tmp_path / "two") == 0
+        one = file_tree(tmp_path / "one")
+        assert len(one) == n_files
+        assert file_tree(tmp_path / "two") == one
+
+    def test_evaluator_failure_writes_the_same_files_as_one_job(self, tmp_path, capsys):
+        # The plug-in fails on seed 1 of 3, and it runs before Dropwave2.
+        args = (
+            "bench-suite", "--problem", "plugin_objectives:broken_at_seed_1,Dropwave2",
+            "--n-par", "2", "--iterations", "8", "--repeats", "3",
+        )
+        trees, errors = [], []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            assert run_cli(*args, "--jobs", jobs, "--out", out) == 3
+            errors.append(capsys.readouterr().err)
+            trees.append(file_tree(out))
+        assert trees[0] == trees[1]
+        assert errors[0] == errors[1] and "evaluation failed" in errors[0]
+        # The run before the failing one, then the failing run's partial log.
+        slug = "plugin_objectives_broken_at_seed_1"
+        assert sorted(str(p) for p in trees[0]) == [
+            f"{slug}/{slug}_prosrs_seed0.csv",
+            f"{slug}/{slug}_prosrs_seed0.json",
+            f"{slug}/{slug}_prosrs_seed1.csv",
+        ]
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["optimize", "bench-suite"])
+    def test_zero_jobs_fail_before_evaluating(self, tmp_path, capsys, command, how):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": 0}))
+        jobs = ("--jobs", "0") if how == "flag" else ("--config", cfg)
+        code = run_cli(
+            command, "--problem", "plugin_objectives:unevaluable", "--iterations", "3",
+            *jobs, "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert "jobs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestModelError:
     def test_constant_landscape_error_is_noise_floor(self):
         from prosrs.benchmarks import BenchmarkProblem
@@ -248,6 +310,26 @@ class TestModelError:
         for r in rows:
             assert float(r["mean_rel_l2_error"]) > 0
             assert float(r["std_rel_l2_error"]) >= 0
+
+
+    @pytest.mark.parametrize(
+        "bad",
+        [("--n-values", "50,1"), ("--n-values", ""), ("--n-mc", "0")],
+        ids=["n-below-2", "no-n", "no-mc-points"],
+    )
+    def test_bad_sizes_fail_before_any_trial(self, tmp_path, monkeypatch, capsys, bad):
+        from prosrs import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "model_error_trial", lambda *a, **k: calls.append(a) or 1.0)
+        code = run_cli(
+            "model-error", "--problem", "Ackley10,Dropwave2", "--n-values", "50",
+            "--repeats", "2", *bad, "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert calls == []
+        assert "n-" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCostProfile:

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -5,6 +7,10 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from prosrs import _kernels
+from prosrs.benchmarks import BenchmarkProblem
+from prosrs.cli import model_error_trial
+from prosrs.engine import run_prosrs
+from prosrs.problem import BoxDomain, EvaluationError, Objective, default_config
 
 
 class TestPublicWrappers:
@@ -52,3 +58,119 @@ class TestNumpyMinDistsBlocks:
             tracemalloc.stop()
         assert peak < 40 * 2**20
 
+
+
+def blas_counts():
+    return [get() for get, _ in _kernels._openblas_functions()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS at 2 threads, so a restore that does nothing
+    cannot pass; the counts from before are put back afterwards."""
+    functions = _kernels._openblas_functions()
+    if "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+        assert functions, "numpy is built on OpenBLAS, but no OpenBLAS was found"
+    else:
+        pytest.skip("numpy is not built on OpenBLAS")
+    before = blas_counts()
+    for _, set_ in functions:
+        set_(2)
+    yield
+    for (_, set_), count in zip(functions, before):
+        set_(count)
+
+
+def sphere(seen):
+    """A 2-D sphere objective that records the BLAS counts at each batch."""
+
+    def evaluate(X):
+        seen.append(blas_counts())
+        return np.sum(np.atleast_2d(X) ** 2, axis=1)
+
+    return Objective(2, BoxDomain(-np.ones(2), np.ones(2)), lambda x: 0.0), evaluate
+
+
+def constant_problem(true_mean):
+    return BenchmarkProblem(
+        "Const2", 2, BoxDomain(np.zeros(2), np.ones(2)), 0.1, true_mean, 0.0, None
+    )
+
+
+class TestOneBlasThread:
+    def test_evaluator_sees_one_thread_and_counts_return(self, two_blas_threads):
+        seen = []
+        objective, evaluate = sphere(seen)
+        run_prosrs(objective, default_config(2, 4, n_iterations=3, seed=0), evaluate)
+        assert seen and all(set(counts) == {1} for counts in seen)
+        assert set(blas_counts()) == {2}
+
+    def test_counts_return_after_evaluation_error(self, two_blas_threads):
+        objective, _ = sphere([])
+        with pytest.raises(EvaluationError):
+            run_prosrs(
+                objective, default_config(2, 4, n_iterations=3, seed=0),
+                lambda X: np.full(len(X), np.nan),
+            )
+        assert set(blas_counts()) == {2}
+
+    def test_model_error_trial_pins_and_restores(self, two_blas_threads):
+        seen = []
+
+        def true_mean(X):
+            seen.append(blas_counts())
+            return np.ones(len(np.atleast_2d(X)))
+
+        model_error_trial(constant_problem(true_mean), n=10, base_seed=0, repeat=0, n_mc=100)
+        assert seen and all(set(counts) == {1} for counts in seen)
+        assert set(blas_counts()) == {2}
+
+    def test_model_error_trial_restores_after_raising(self, two_blas_threads):
+        def true_mean(X):
+            raise RuntimeError("landscape failed")
+
+        with pytest.raises(RuntimeError):
+            model_error_trial(constant_problem(true_mean), n=10, base_seed=0, repeat=0)
+        assert set(blas_counts()) == {2}
+
+    def test_nested_uses_restore_the_outermost_counts(self, two_blas_threads):
+        with _kernels.one_blas_thread():
+            with _kernels.one_blas_thread():
+                assert set(blas_counts()) == {1}
+            assert set(blas_counts()) == {1}
+        assert set(blas_counts()) == {2}
+
+    def test_overlapping_uses_restore_the_first_counts(self, two_blas_threads):
+        # Two runs whose pins overlap without nesting: the first ends first.
+        first, second = _kernels.one_blas_thread(), _kernels.one_blas_thread()
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert set(blas_counts()) == {1}
+        second.__exit__(None, None, None)
+        assert set(blas_counts()) == {2}
+
+    def test_many_threads_leave_the_counts_restored(self, two_blas_threads):
+        # More threads than cores, switching often: a lost update of the
+        # nesting depth would leave BLAS pinned or unpin it inside a run.
+        inside = []
+
+        def work():
+            for _ in range(1000):
+                with _kernels.one_blas_thread():
+                    with _kernels.one_blas_thread():
+                        inside.append(set(blas_counts()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(inside) == 8 * 1000 and all(counts == {1} for counts in inside)
+        assert set(blas_counts()) == {2}
