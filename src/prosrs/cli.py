@@ -12,19 +12,23 @@ Subcommands:
 * ``model-error``  — the surrogate regression study: fit unweighted models on
                      Latin hypercube samples of varying size and report the
                      Monte-Carlo relative L2 error against the true mean.
-* ``cost-profile`` — an ``optimize`` run with per-iteration timing rows and a
-                     late/early cost-ratio summary.
+* ``cost-profile`` — one ``optimize`` run, written as the same per-run CSV
+                     log, and a late/early cost-ratio summary of its loop rows.
 
 ``optimize`` and ``bench-suite`` take ``--jobs K`` (default 1): the (problem,
 seed) repeats then run on K spawned worker processes, and this process writes
 every file in the order and with the bytes that ``--jobs 1`` writes. Each run
 holds OpenBLAS to one thread, so K workers use about K cores.
 
-A JSON config file may supply any flag (keys: problem, algo, repeats, jobs,
-seed, out, and a nested "config" object with run-parameter overrides such as
-n_par, n_iterations, or s_init). Command-line flags win over file values. Exit
-codes: 0 success, 2 configuration error, 3 evaluator failure (partial logs are
-flushed: the runs before the failing one, and its own log up to the failure).
+``SETTINGS`` (each setting's flag, type, default and help) and ``COMMANDS``
+(the settings each command reads) build both the parser and the config-file
+reader. A JSON config file may give any setting but the two timing switches,
+by name; commands that build a RunConfig also take a nested "config" object
+of run parameters (n_par, n_iterations, rho, s_init, ...). File values are
+type-checked, never cast; an unread key is an error. Flags win over file
+values, and the "config" object over a top-level key. Exit codes: 0 success,
+2 configuration error, 3 evaluator failure (partial logs are flushed: the
+runs before the failing one, and its own log up to the failure).
 """
 
 from __future__ import annotations
@@ -36,9 +40,10 @@ import json
 import multiprocessing
 import sys
 import zlib
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -73,23 +78,55 @@ RUN_CSV_COMMON = ("iteration", "event", "zoom_level", "best_y")
 RUN_CSV_TAIL = ("algo_time_s", "eval_time_s")
 
 
+# One CLI setting. ``type`` is int, str, list (of integers, comma-separated on
+# the command line) or bool (a switch: its flag only). ``minimum`` bounds an
+# int, or each item of a list, which must then hold at least one.
+Setting = namedtuple("Setting", "flag type default help choices minimum", defaults=(None, None))
+
+
+SETTINGS = {
+    "problem": Setting("--problem", str, None, "benchmark name or package.module:factory"),
+    "algo": Setting("--algo", str, "prosrs", "optimizer", choices=("prosrs", "random")),
+    "n_par": Setting("--n-par", int, 4, "points evaluated per iteration"),
+    "n_iterations": Setting("--iterations", int, 50, "iteration budget N"),
+    "repeats": Setting("--repeats", int, 1, "independent repeats", minimum=1),
+    "jobs": Setting("--jobs", int, 1, "worker processes for the repeats (default 1: run "
+                    "them in this process)", minimum=1),
+    "seed": Setting("--seed", int, 0, "base seed; repeat r uses seed+r", minimum=0),
+    "out": Setting("--out", str, "results", "output directory"),
+    "deterministic_timing": Setting("--deterministic-timing", bool, False,
+                                    "write timing columns as 0.0 for byte-reproducible output"),
+    "real_timing": Setting("--real-timing", bool, True,
+                           "write wall times instead of the default deterministic 0.0"),
+    "n_values": Setting("--n-values", list, [10, 20, 30, 40, 50, 60, 70, 80, 90, 100],
+                        "comma-separated training sizes (a fit needs 2 points)", minimum=2),
+    "n_mc": Setting("--n-mc", int, 100_000, "Monte-Carlo samples for the error", minimum=1),
+}
+
+# bench-suite writes timing columns as 0.0 unless --real-timing, so identically
+# seeded suites are byte-identical; model-error averages ten repeats.
+_COMMAND_DEFAULTS = {"bench-suite": {"real_timing": False}, "model-error": {"repeats": 10}}
+
+_KINDS = {int: "an integer", str: "a string", list: "a list of integers"}
+
+
 @dataclass
 class ExperimentSpec:
-    """Resolved settings for one CLI invocation."""
+    """Resolved settings for one CLI invocation: one field per SETTINGS entry."""
 
-    command: str
-    problem: str
-    algo: str = "prosrs"
-    n_par: int = 4
-    n_iterations: int = 50
-    n_repeats: int = 1
-    jobs: int = 1
-    seed: int = 0
-    out: str = "results"
-    config_overrides: dict = field(default_factory=dict)
-    real_timing: bool = True
-    n_values: tuple = (10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
-    n_mc: int = 100_000
+    config_overrides: dict
+    problem: str | None
+    algo: str
+    n_par: int
+    n_iterations: int
+    repeats: int
+    jobs: int
+    seed: int
+    out: str
+    deterministic_timing: bool
+    real_timing: bool
+    n_values: list
+    n_mc: int
 
 
 def _fmt(value) -> str:
@@ -206,10 +243,11 @@ def _run_repeat(spec: ExperimentSpec, problem_name: str, seed: int):
     """
     problem = _load_problem(problem_name, seed)
     header = [*RUN_CSV_COMMON, _objective_column(problem), *RUN_CSV_TAIL]
+    real_timing = spec.real_timing and not spec.deterministic_timing
     try:
         result = _run_once(problem, spec, seed)
     except EvaluationError as exc:
-        return header, _run_rows(exc.logs, problem, spec.real_timing), None, str(exc)
+        return header, _run_rows(exc.logs, problem, real_timing), None, str(exc)
     summary = {
         "problem": problem_name,
         "algo": spec.algo,
@@ -219,7 +257,7 @@ def _run_repeat(spec: ExperimentSpec, problem_name: str, seed: int):
         "n_evaluations": int(result.n_evaluations),
         "config": asdict(result.config_echo),
     }
-    return header, _run_rows(result.logs, problem, spec.real_timing), summary, None
+    return header, _run_rows(result.logs, problem, real_timing), summary, None
 
 
 @contextmanager
@@ -252,7 +290,7 @@ def _optimize_into(spec: ExperimentSpec, problems) -> list:
     evaluator failure the partial log of the failing run is written, nothing
     after it, and the failure is raised as an EvaluationError.
     """
-    tasks = [(i, spec.seed + rep) for i in range(len(problems)) for rep in range(spec.n_repeats)]
+    tasks = [(i, spec.seed + rep) for i in range(len(problems)) for rep in range(spec.repeats)]
     per_run_rows = [[] for _ in problems]
     with _repeat_outputs(spec, [(problems[i][0], seed) for i, seed in tasks]) as outputs:
         for (i, seed), (header, rows, summary, error) in zip(tasks, outputs):
@@ -263,7 +301,7 @@ def _optimize_into(spec: ExperimentSpec, problems) -> list:
                 raise EvaluationError(error)
             _write_json(base.with_suffix(".json"), summary)
             per_run_rows[i].append(rows)
-            if len(per_run_rows[i]) == spec.n_repeats:
+            if len(per_run_rows[i]) == spec.repeats:
                 _write_csv(
                     out_dir / f"{_slug(name)}_{spec.algo}_aggregate.csv",
                     ["iteration", "mean_objective", "std_objective"],
@@ -289,7 +327,7 @@ def cmd_bench_suite(spec: ExperimentSpec) -> int:
     for name, per_run_rows in zip(names, per_problem):
         finals = np.array([rows[-1][4] for rows in per_run_rows])
         summary_rows.append(
-            [name, spec.algo, spec.n_repeats, float(np.median(finals)),
+            [name, spec.algo, spec.repeats, float(np.median(finals)),
              float(finals.mean()), float(finals.std())]
         )
     _write_csv(
@@ -332,7 +370,7 @@ def cmd_model_error(spec: ExperimentSpec) -> int:
         for n in spec.n_values:
             errs = [
                 model_error_trial(problem, n, spec.seed, rep, spec.n_mc)
-                for rep in range(spec.n_repeats)
+                for rep in range(spec.repeats)
             ]
             errs = np.array(errs)
             rows.append([name, n, float(errs.mean()), float(errs.std())])
@@ -357,30 +395,41 @@ def cost_ratio(algo_times) -> float:
 
 
 def cmd_cost_profile(spec: ExperimentSpec) -> int:
-    problem = _load_problem(spec.problem, spec.seed)
-    result = _run_once(problem, spec, spec.seed)
-    loop_logs = [log for log in result.logs if log.iteration >= 1]
-    rows = [
-        [log.iteration, log.event, float(log.algo_time_s), float(log.eval_time_s)]
-        for log in loop_logs
-    ]
-    out_dir = Path(spec.out)
-    base = out_dir / f"{_slug(spec.problem)}_{spec.algo}_seed{spec.seed}"
-    _write_csv(
-        Path(str(base) + "_timing.csv"),
-        ["iteration", "event", "algo_time_s", "eval_time_s"],
-        rows,
-    )
-    algo_times = [r[2] for r in rows]
+    header, rows, _, error = _run_repeat(spec, spec.problem, spec.seed)
+    base = Path(spec.out) / f"{_slug(spec.problem)}_{spec.algo}_seed{spec.seed}"
+    _write_csv(base.with_suffix(".csv"), header, rows)
+    if error is not None:
+        raise EvaluationError(error)
+    algo_col = header.index("algo_time_s")
+    times = [row[algo_col] for row in rows if row[0] >= 1]
     summary = {
         "problem": spec.problem,
         "algo": spec.algo,
         "seed": spec.seed,
-        "n_rows": len(rows),
-        "late_over_early_median_ratio": cost_ratio(algo_times) if len(rows) >= 70 else None,
+        "n_rows": len(times),
+        "late_over_early_median_ratio": cost_ratio(times) if len(times) >= 70 else None,
     }
     _write_json(Path(str(base) + "_cost_summary.json"), summary)
     return EXIT_OK
+
+
+_RUN_SETTINGS = ("problem", "algo", "n_par", "n_iterations", "seed", "out")
+
+# Each command: its handler, its help, and the SETTINGS it reads.
+COMMANDS = {
+    "optimize": (cmd_optimize, "run an optimization experiment",
+                 (*_RUN_SETTINGS, "repeats", "jobs", "deterministic_timing")),
+    "bench-suite": (cmd_bench_suite, "optimize across benchmarks",
+                    (*_RUN_SETTINGS, "repeats", "jobs", "real_timing")),
+    "model-error": (cmd_model_error, "surrogate regression study",
+                    ("problem", "repeats", "seed", "out", "n_values", "n_mc")),
+    "cost-profile": (cmd_cost_profile, "per-iteration timing profile", _RUN_SETTINGS),
+}
+
+
+def _int_list(text: str) -> list:
+    """``--n-values 10,20,50`` as [10, 20, 50]; the empty string gives []."""
+    return [int(v) for v in text.split(",")] if text else []
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -388,66 +437,59 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="prosrs", description="Parallel surrogate optimization toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--problem", help="benchmark name or package.module:factory")
-        p.add_argument("--n-par", type=int, help="points evaluated per iteration")
-        p.add_argument("--iterations", type=int, help="iteration budget N")
-        p.add_argument("--repeats", type=int, help="independent repeats")
-        p.add_argument("--seed", type=int, help="base seed; repeat r uses seed+r")
-        p.add_argument("--algo", choices=("prosrs", "random"), help="optimizer")
-        p.add_argument("--out", help="output directory")
+    for command, (_, help_text, names) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in names:
+            setting = SETTINGS[name]
+            if setting.type is bool:
+                p.add_argument(setting.flag, dest=name, action="store_true", default=None,
+                               help=setting.help)
+            else:
+                p.add_argument(
+                    setting.flag, dest=name, choices=setting.choices, help=setting.help,
+                    type=_int_list if setting.type is list else setting.type,
+                )
         p.add_argument("--config", help="JSON config file")
-
-    def add_jobs(p):
-        p.add_argument(
-            "--jobs", type=int,
-            help="worker processes for the repeats (default 1: run them in this process)",
-        )
-
-    p_opt = sub.add_parser("optimize", help="run an optimization experiment")
-    add_common(p_opt)
-    add_jobs(p_opt)
-    p_opt.add_argument(
-        "--deterministic-timing",
-        action="store_true",
-        help="write timing columns as 0.0 for byte-reproducible output",
-    )
-
-    p_suite = sub.add_parser("bench-suite", help="optimize across benchmarks")
-    add_common(p_suite)
-    add_jobs(p_suite)
-    p_suite.add_argument(
-        "--real-timing",
-        action="store_true",
-        help="write wall times instead of the default deterministic 0.0",
-    )
-
-    p_err = sub.add_parser("model-error", help="surrogate regression study")
-    add_common(p_err)
-    p_err.add_argument("--n-values", help="comma-separated training sizes")
-    p_err.add_argument("--n-mc", type=int, help="Monte-Carlo samples for the error")
-
-    p_cost = sub.add_parser("cost-profile", help="per-iteration timing profile")
-    add_common(p_cost)
     return parser
 
 
+def _checked(name: str, value):
+    """``value`` for SETTINGS[name], from a flag or the config file; never cast."""
+    setting = SETTINGS[name]
+    label = f"{name} ({setting.flag})"
+    items = value if type(value) is list else [value]
+    item_type = int if setting.type is list else setting.type
+    if type(value) is not setting.type or any(type(v) is not item_type for v in items):
+        raise ValueError(f"{label} must be {_KINDS[setting.type]}, got {value!r}")
+    if setting.choices and value not in setting.choices:
+        raise ValueError(f"{label} must be one of {', '.join(setting.choices)}, got {value!r}")
+    if setting.minimum is not None and (not items or min(items) < setting.minimum):
+        what = "one or more integers, each" if setting.type is list else "an integer"
+        raise ValueError(f"{label} must be {what} >= {setting.minimum}, got {value!r}")
+    return value
+
+
 def _spec_from_args(args) -> ExperimentSpec:
+    """Resolve each setting the command reads, once: its flag, then the config
+    file's "config" block (run parameters only), then the file's top-level
+    key, then the default."""
+    names = COMMANDS[args.command][2]
     file_values = {}
     if args.config:
         with open(args.config) as f:
             file_values = json.load(f)
         if not isinstance(file_values, dict):
             raise ValueError("config file must hold a JSON object")
+    # Switches are flags only; a command that builds a RunConfig (it reads
+    # n_par) also takes the block of further run parameters.
+    keys = {name for name in names if SETTINGS[name].type is not bool}
+    unread = sorted(set(file_values) - keys - ({"config"} if "n_par" in names else set()))
+    if unread:
+        raise ValueError(f"{args.command} does not read config file keys: {', '.join(unread)}")
 
-    def pick(flag, key, default):
-        v = getattr(args, flag, None)
-        if v is not None:
-            return v
-        return file_values.get(key, default)
-
-    overrides = dict(file_values.get("config", {}))
+    overrides = file_values.get("config", {})
+    if not isinstance(overrides, dict):
+        raise ValueError("the config block must be a JSON object")
     unknown = sorted(set(overrides) - {f.name for f in fields(RunConfig)})
     if unknown:
         raise ValueError(f"unknown run parameters in config: {', '.join(unknown)}")
@@ -457,81 +499,29 @@ def _spec_from_args(args) -> ExperimentSpec:
             raise ValueError("config s_init must be an object with exactly gamma, p and sigma")
         overrides["s_init"] = ExploitState(**s_init)
 
-    def pick_run_field(flag, key, default):
-        # Run parameters may come from a flag or the file's config block;
-        # flags win, and resolved values must not reach default_config twice.
-        v = getattr(args, flag, None)
-        if v is not None:
-            overrides.pop(key, None)
-            return v
-        if key in overrides:
-            return overrides.pop(key)
-        return file_values.get(key, default)
-
-    default_repeats = {"model-error": 10}.get(args.command, 1)
-    spec = ExperimentSpec(
-        command=args.command,
-        problem=pick("problem", "problem", None),
-        algo=pick("algo", "algo", "prosrs"),
-        n_par=int(pick_run_field("n_par", "n_par", 4)),
-        n_iterations=int(pick_run_field("iterations", "n_iterations", 50)),
-        n_repeats=int(pick("repeats", "repeats", default_repeats)),
-        jobs=pick("jobs", "jobs", 1),
-        seed=int(pick_run_field("seed", "seed", 0)),
-        out=pick("out", "out", "results"),
-        config_overrides=overrides,
-    )
-    if spec.command in ("optimize", "cost-profile") and not spec.problem:
+    values = {name: setting.default for name, setting in SETTINGS.items()}
+    values.update(_COMMAND_DEFAULTS.get(args.command, {}))
+    for name in names:
+        # Every given value is checked, a losing one too. A run parameter
+        # leaves the block, so default_config does not get it twice.
+        given = (getattr(args, name), overrides.pop(name, None), file_values.get(name))
+        given = [_checked(name, v) for v in given if v is not None]
+        if given:
+            values[name] = given[0]
+    if args.command in ("optimize", "cost-profile") and not values["problem"]:
         raise ValueError("--problem is required")
-    if spec.n_repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    if type(spec.jobs) is not int or spec.jobs < 1:
-        raise ValueError(f"jobs must be an integer >= 1, got {spec.jobs!r}")
-    if spec.algo not in ("prosrs", "random"):
-        raise ValueError("algo must be 'prosrs' or 'random'")
-
-    if spec.command == "optimize" and getattr(args, "deterministic_timing", False):
-        spec.real_timing = False
-    if spec.command == "bench-suite":
-        spec.real_timing = bool(getattr(args, "real_timing", False))
-    if spec.command == "model-error":
-        n_values = pick("n_values", "n_values", None)
-        if isinstance(n_values, str):
-            spec.n_values = tuple(int(v) for v in n_values.split(",")) if n_values else ()
-        elif n_values is not None:
-            spec.n_values = tuple(int(v) for v in n_values)
-        n_mc = pick("n_mc", "n_mc", None)
-        if n_mc is not None:
-            spec.n_mc = int(n_mc)
-        # Checked here, not in the first trial that meets them, so a bad
-        # value ends the command before any trial runs.
-        if not spec.n_values:
-            raise ValueError("n-values must list at least one training size")
-        if min(spec.n_values) < 2:
-            raise ValueError(f"each n-value must be >= 2 (a fit needs 2 points): {spec.n_values}")
-        if spec.n_mc < 1:
-            raise ValueError(f"n-mc must be >= 1, got {spec.n_mc}")
-    return spec
-
-
-_DISPATCH = {
-    "optimize": cmd_optimize,
-    "bench-suite": cmd_bench_suite,
-    "model-error": cmd_model_error,
-    "cost-profile": cmd_cost_profile,
-}
+    return ExperimentSpec(config_overrides=overrides, **values)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         spec = _spec_from_args(args)
-    except (ValueError, TypeError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return _DISPATCH[spec.command](spec)
+        return COMMANDS[args.command][0](spec)
     except EvaluationError as exc:
         print(f"error: evaluation failed: {exc}", file=sys.stderr)
         return EXIT_EVALUATOR

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prosrs.cli import main
+from prosrs.cli import cost_ratio, main
 
 RUN_HEADER = "iteration,event,zoom_level,best_y,true_f_best,algo_time_s,eval_time_s"
 
@@ -332,19 +332,30 @@ class TestModelError:
         assert not (tmp_path / "out").exists()
 
 
+def loop_rows(path):
+    """The rows of a run CSV after the initial design (iteration >= 1)."""
+    with open(path) as f:
+        return [row for row in csv.DictReader(f) if int(row["iteration"]) >= 1]
+
+
 class TestCostProfile:
+    """cost-profile writes the standard run CSV and summarizes its loop rows."""
+
     def test_ratio_reported_for_long_runs(self, tmp_path):
         code = run_cli(
             "cost-profile", "--problem", "Rastrigin2", "--n-par", "2",
             "--iterations", "75", "--out", tmp_path,
         )
         assert code == 0
-        lines = read_lines(tmp_path / "Rastrigin2_prosrs_seed0_timing.csv")
-        assert len(lines) == 1 + 75
+        rows = loop_rows(tmp_path / "Rastrigin2_prosrs_seed0.csv")
+        assert len(rows) == 75
         summary = json.loads(
             (tmp_path / "Rastrigin2_prosrs_seed0_cost_summary.json").read_text()
         )
         assert summary["late_over_early_median_ratio"] > 0
+        assert summary["late_over_early_median_ratio"] == cost_ratio(
+            [float(row["algo_time_s"]) for row in rows]
+        )
 
     def test_single_iteration_single_row(self, tmp_path):
         code = run_cli(
@@ -352,11 +363,105 @@ class TestCostProfile:
             "--out", tmp_path,
         )
         assert code == 0
-        lines = read_lines(tmp_path / "Rastrigin2_prosrs_seed0_timing.csv")
-        assert lines[0] == "iteration,event,algo_time_s,eval_time_s"
-        assert len(lines) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "Rastrigin2_prosrs_seed0.csv", "Rastrigin2_prosrs_seed0_cost_summary.json",
+        ]
+        assert read_lines(tmp_path / "Rastrigin2_prosrs_seed0.csv")[0] == RUN_HEADER
+        assert len(loop_rows(tmp_path / "Rastrigin2_prosrs_seed0.csv")) == 1
         summary = json.loads(
             (tmp_path / "Rastrigin2_prosrs_seed0_cost_summary.json").read_text()
         )
         assert summary["n_rows"] == 1
         assert summary["late_over_early_median_ratio"] is None
+
+    def test_evaluator_failure_flushes_the_partial_log(self, tmp_path, capsys):
+        code = run_cli(
+            "cost-profile", "--problem", "plugin_objectives:broken",
+            "--n-par", "2", "--iterations", "8", "--out", tmp_path,
+        )
+        assert code == 3
+        assert "evaluation failed" in capsys.readouterr().err
+        partial = read_lines(tmp_path / "plugin_objectives_broken_prosrs_seed0.csv")
+        assert partial[0] == RUN_HEADER.replace("true_f_best", "noisy_y_best")
+        assert len(partial) > 1  # batches before the NaN were flushed
+        assert not (tmp_path / "plugin_objectives_broken_prosrs_seed0_cost_summary.json").exists()
+
+
+def run_unevaluated(tmp_path, monkeypatch, command, file_values):
+    """Run ``command`` with ``file_values`` as its config file, on a problem
+    that must not be evaluated, and return the exit code."""
+    from prosrs import cli
+
+    def unevaluable_trial(*args, **kwargs):
+        raise RuntimeError("model-error must not run a trial")
+
+    monkeypatch.setattr(cli, "model_error_trial", unevaluable_trial)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(file_values))
+    problem = "Dropwave2" if command == "model-error" else "plugin_objectives:unevaluable"
+    return run_cli(command, "--problem", problem, "--config", cfg, "--out", tmp_path / "out")
+
+
+class TestSettings:
+    """Each command reads the settings it lists, from flags or the config file."""
+
+    @pytest.mark.parametrize(
+        "command, file_values, key",
+        [
+            ("optimize", {"iteratons": 2}, "iteratons"),
+            ("optimize", {"repeat": 3}, "repeat"),
+            ("optimize", {"n_mc": 5}, "n_mc"),
+            ("cost-profile", {"jobs": 2}, "jobs"),
+            ("model-error", {"config": {"rho": 0.5}}, "config"),
+        ],
+    )
+    def test_unread_file_key_fails_before_evaluating(
+        self, tmp_path, monkeypatch, capsys, command, file_values, key
+    ):
+        assert run_unevaluated(tmp_path, monkeypatch, command, file_values) == 2
+        assert f"does not read config file keys: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, file_values, key",
+        [
+            ("optimize", {"config": {"n_par": 2.5}}, "n_par"),
+            ("optimize", {"repeats": 1.7}, "repeats"),
+            ("optimize", {"seed": "4"}, "seed"),
+            ("optimize", {"seed": -1}, "seed"),
+            ("model-error", {"n_mc": 2.5}, "n_mc"),
+            ("model-error", {"n_values": [10.9]}, "n_values"),
+            ("optimize", {"out": 5}, "out"),
+            ("optimize", {"problem": 5}, "problem"),
+            ("optimize", {"algo": "Random"}, "algo"),
+        ],
+    )
+    def test_file_values_are_checked_not_cast(
+        self, tmp_path, monkeypatch, capsys, command, file_values, key
+    ):
+        assert run_unevaluated(tmp_path, monkeypatch, command, file_values) == 2
+        assert f"{key} (--" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("model-error", "--n-par", "4"),
+            ("model-error", "--iterations", "5"),
+            ("model-error", "--algo", "random"),
+            ("cost-profile", "--repeats", "2"),
+        ],
+        ids=["model-error-n-par", "model-error-iterations", "model-error-algo",
+             "cost-profile-repeats"],
+    )
+    def test_flag_the_command_does_not_read_is_rejected(self, tmp_path, capsys, argv):
+        # Cheap settings, so a parser that took the flag would finish quickly.
+        cheap = {
+            "model-error": ("--n-values", "2", "--n-mc", "1", "--repeats", "1"),
+            "cost-profile": ("--iterations", "1"),
+        }[argv[0]]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--problem", "Dropwave2", *cheap, "--out", tmp_path / "out")
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
