@@ -13,7 +13,6 @@ from .benchmarks import (
     NoisyBatchEvaluator,
     benchmark_objective,
     make_benchmark,
-    noisy_eval,
 )
 from .doe import latin_hypercube_maximin
 from .engine import (
@@ -84,7 +83,6 @@ __all__ = [
     "is_failure",
     "latin_hypercube_maximin",
     "make_benchmark",
-    "noisy_eval",
     "predict_batch",
     "relative_l2_error",
     "restart_condition",

@@ -6,18 +6,19 @@ trailing number in a problem name is its dimension. The deterministic part is
 exposed as ``true_mean`` for scoring against the noise-free landscape.
 
 All function implementations accept a single point (d,) or a row-stacked
-batch (n, d) and are vectorized over the batch.
+batch (n, d) and are vectorized over the batch. Noise has one path:
+``NoisyBatchEvaluator`` draws it from one seed, and ``benchmark_objective``
+evaluates through that evaluator, so both give the same run for a seed.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import BoxDomain, Objective
+from .problem import BoxDomain, Objective, stream_seedseq
 
 
 def _batch(x, d=None):
@@ -164,7 +165,11 @@ def power_sum(x):
 
 @dataclass(frozen=True)
 class BenchmarkProblem:
-    """A noisy benchmark: deterministic landscape plus Gaussian noise level."""
+    """A noisy benchmark: deterministic landscape plus Gaussian noise level.
+
+    ``true_mean`` maps a batch (n, d) to its n noise-free values, and a single
+    point (d,) to a float.
+    """
 
     name: str
     dimension: int
@@ -244,51 +249,44 @@ def make_benchmark(name: str) -> BenchmarkProblem:
         ) from None
 
 
-def noisy_eval(problem: BenchmarkProblem, x, rng: np.random.Generator) -> float:
-    """One noisy observation: true mean plus Gaussian noise from ``rng``."""
-    x = np.asarray(x, dtype=float)
-    if not problem.domain.contains(x):
-        raise ValueError(f"point {x} lies outside the domain of {problem.name}")
-    return float(problem.true_mean(x)) + problem.noise_std * float(rng.standard_normal())
-
-
 class NoisyBatchEvaluator:
-    """Batch evaluator with one noise substream per evaluation.
+    """Batch evaluator: one ``true_mean`` call per batch plus per-point noise.
 
-    Substreams are spawned from a single seed in submission order, so results
-    are reproducible regardless of how many workers execute the batch.
+    A point's noise is ``noise_std`` times the first normal draw of its own
+    child of ``seed``, spawned in submission order; spawning k children one at
+    a time gives the same k, so the values do not depend on the batch sizes.
     """
 
-    def __init__(self, problem: BenchmarkProblem, seed, max_workers: int | None = None):
+    def __init__(self, problem: BenchmarkProblem, seed):
         self.problem = problem
         self._seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        self.max_workers = max_workers
-
-    def _one(self, x, seq):
-        return noisy_eval(self.problem, x, np.random.default_rng(seq))
 
     def __call__(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        seqs = self._seq.spawn(len(X))
-        if self.max_workers:
-            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                values = list(pool.map(self._one, X, seqs))
-        else:
-            values = [self._one(x, s) for x, s in zip(X, seqs)]
-        return np.asarray(values)
+        problem = self.problem
+        X, _ = _batch(X, problem.dimension)
+        outside = ~np.all((X >= problem.domain.lower) & (X <= problem.domain.upper), axis=1)
+        if outside.any():
+            raise ValueError(f"point {X[outside][0]} lies outside the domain of {problem.name}")
+        mean = np.asarray(problem.true_mean(X), dtype=float)
+        if mean.shape != (len(X),):
+            raise ValueError(f"true_mean must map (n, d) to (n,), got {mean.shape} for n={len(X)}")
+        noise = [np.random.default_rng(s).standard_normal() for s in self._seq.spawn(len(X))]
+        return mean + problem.noise_std * np.array(noise)
 
 
 def benchmark_objective(problem: BenchmarkProblem, seed: int) -> Objective:
-    """Wrap a benchmark as an Objective with its own locked noise stream.
+    """Wrap a benchmark as an Objective that evaluates one point at a time.
 
-    Suitable for serial use or as the domain/dimension carrier for the engine;
-    batch-parallel runs should evaluate through ``NoisyBatchEvaluator``.
+    Its noise is the run's "noise" stream for ``seed``, drawn through one
+    locked ``NoisyBatchEvaluator``: a run through this objective alone gives
+    the same values as a run through ``NoisyBatchEvaluator(problem,
+    stream_seedseq(seed, "noise"))``.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    evaluator = NoisyBatchEvaluator(problem, stream_seedseq(seed, "noise"))
     lock = threading.Lock()
 
     def evaluate(x):
         with lock:
-            return noisy_eval(problem, x, rng)
+            return float(evaluator(x)[0])
 
     return Objective(problem.dimension, problem.domain, evaluate)

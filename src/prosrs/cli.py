@@ -177,26 +177,23 @@ def _objective_column(problem) -> str:
 
 
 def _run_rows(logs, problem, real_timing: bool):
-    """CSV rows for a run: one per logged batch."""
+    """CSV rows for a run: one per logged batch. A benchmark's objective column
+    is the true mean of the best point so far, from one ``true_mean`` call."""
     xs, ys = best_trajectory(logs)
-    rows = []
-    for log, x_best, y_best in zip(logs, xs, ys):
-        if isinstance(problem, BenchmarkProblem):
-            objective_value = float(problem.true_mean(x_best))
-        else:
-            objective_value = float(y_best)
-        rows.append(
-            [
-                log.iteration,
-                log.event,
-                log.zoom_level,
-                float(log.best_y_so_far),
-                objective_value,
-                float(log.algo_time_s) if real_timing else 0.0,
-                float(log.eval_time_s) if real_timing else 0.0,
-            ]
-        )
-    return rows
+    if isinstance(problem, BenchmarkProblem) and logs:
+        ys = problem.true_mean(xs)
+    return [
+        [
+            log.iteration,
+            log.event,
+            log.zoom_level,
+            float(log.best_y_so_far),
+            float(objective_value),
+            float(log.algo_time_s) if real_timing else 0.0,
+            float(log.eval_time_s) if real_timing else 0.0,
+        ]
+        for log, objective_value in zip(logs, ys)
+    ]
 
 
 def _write_csv(path: Path, header, rows):
@@ -211,7 +208,7 @@ def _write_csv(path: Path, header, rows):
 def _write_json(path: Path, obj):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
+        json.dump(obj, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 
@@ -402,12 +399,14 @@ def cmd_cost_profile(spec: ExperimentSpec) -> int:
         raise EvaluationError(error)
     algo_col = header.index("algo_time_s")
     times = [row[algo_col] for row in rows if row[0] >= 1]
+    # Null for fewer than 70 rows, or for an early median of 0 (restart design rows).
+    ratio = cost_ratio(times) if len(times) >= 70 else float("nan")
     summary = {
         "problem": spec.problem,
         "algo": spec.algo,
         "seed": spec.seed,
         "n_rows": len(times),
-        "late_over_early_median_ratio": cost_ratio(times) if len(times) >= 70 else None,
+        "late_over_early_median_ratio": ratio if np.isfinite(ratio) else None,
     }
     _write_json(Path(str(base) + "_cost_summary.json"), summary)
     return EXIT_OK

@@ -143,6 +143,18 @@ class EvalDataset:
         return EvalDataset(self.X[inside], self.y[inside])
 
 
+def _check_field_types(obj):
+    """Reject a field of ``obj`` whose value is not of its annotated int or
+    float type (a bool is neither), so a config-file "0.5" or 4.5 fails when
+    the object is built and not mid-run."""
+    for f in fields(obj):
+        want = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
+        v = getattr(obj, f.name)
+        if want is not None and (isinstance(v, bool) or not isinstance(v, want)):
+            kind = "an integer" if f.type == "int" else "a number"
+            raise ValueError(f"{f.name} must be {kind}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class ExploitState:
     """Exploitation-strength tuple (regression weight exponent, uniform-candidate
@@ -153,6 +165,7 @@ class ExploitState:
     sigma: float
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.gamma > 0:
             raise ValueError("gamma must be non-positive")
         if not 0.0 <= self.p <= 1.0:
@@ -181,13 +194,7 @@ class RunConfig:
     seed: int
 
     def __post_init__(self):
-        # Types first, so a config-file "0.5" or 4.5 fails here and not mid-run.
-        for f in fields(self):
-            want = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
-            v = getattr(self, f.name)
-            if want is not None and (isinstance(v, bool) or not isinstance(v, want)):
-                kind = "an integer" if f.type == "int" else "a number"
-                raise ValueError(f"{f.name} must be {kind}, got {v!r}")
+        _check_field_types(self)
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.n_par < 1:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,9 @@ from prosrs.benchmarks import (
     NoisyBatchEvaluator,
     benchmark_objective,
     make_benchmark,
-    noisy_eval,
 )
+from prosrs.engine import run_prosrs
+from prosrs.problem import default_config, stream_seedseq
 
 TABLE = {
     # name: (dim, lower, upper, noise_std)
@@ -123,26 +126,39 @@ def test_no_sample_beats_recorded_minimum(name):
     assert vals.min() >= p.known_min_value - 1e-9
 
 
-class TestNoisyEval:
-    def test_zero_noise_equals_true_mean(self):
-        from dataclasses import replace
+@pytest.mark.parametrize("name", sorted(BENCHMARK_NAMES))
+def test_batched_true_mean_equals_pointwise(name):
+    # The evaluator scores a whole batch at once and the objective one point:
+    # both must give the same values, bit for bit.
+    p = make_benchmark(name)
+    X = p.domain.sample_uniform(100, np.random.default_rng(3))
+    batched = p.true_mean(X)
+    assert batched.shape == (100,)
+    assert batched.tolist() == [p.true_mean(x) for x in X]
 
+
+class TestNoisyEval:
+    """Each evaluated point is its true mean plus noise_std times one normal draw."""
+
+    def test_zero_noise_equals_true_mean(self):
         p = replace(make_benchmark("Rastrigin2"), noise_std=0.0)
-        x = np.array([1.0, -2.0])
-        rng = np.random.default_rng(0)
-        assert noisy_eval(p, x, rng) == p.true_mean(x)
+        X = p.domain.sample_uniform(5, np.random.default_rng(0))
+        np.testing.assert_array_equal(NoisyBatchEvaluator(p, 0)(X), p.true_mean(X))
 
     def test_outside_domain_rejected(self):
-        p = make_benchmark("Dropwave2")
-        with pytest.raises(ValueError):
-            noisy_eval(p, np.array([6.0, 0.0]), np.random.default_rng(0))
+        calls = []
+        dropwave = make_benchmark("Dropwave2")
+        p = replace(dropwave, true_mean=lambda X: calls.append(X) or dropwave.true_mean(X))
+        X = np.array([[0.0, 0.0], [6.0, 0.0], [0.0, -7.0]])
+        with pytest.raises(ValueError, match=r"point \[6\. 0\.\] lies outside"):
+            NoisyBatchEvaluator(p, 0)(X)
+        assert calls == []  # the whole batch is checked before any evaluation
 
     def test_moment_checks(self):
         p = make_benchmark("Rastrigin2")
         x = np.array([0.5, -0.5])
-        rng = np.random.default_rng(7)
         n = 100_000
-        draws = np.array([noisy_eval(p, x, rng) for _ in range(n)])
+        draws = NoisyBatchEvaluator(p, 7)(np.tile(x, (n, 1)))
         mean_tol = 4.0 * p.noise_std / np.sqrt(n)
         assert abs(draws.mean() - p.true_mean(x)) <= mean_tol
         assert abs(draws.std(ddof=1) - p.noise_std) <= 0.03 * p.noise_std
@@ -152,14 +168,15 @@ class TestNoisyEval:
 
 
 class TestEvaluators:
-    def test_batch_evaluator_deterministic_and_thread_invariant(self):
+    def test_batch_evaluator_deterministic_and_split_invariant(self):
         p = make_benchmark("SixHumpCamel2")
         X = p.domain.sample_uniform(16, np.random.default_rng(1))
-        serial = NoisyBatchEvaluator(p, seed=5)(X)
-        serial2 = NoisyBatchEvaluator(p, seed=5)(X)
-        threaded = NoisyBatchEvaluator(p, seed=5, max_workers=8)(X)
-        np.testing.assert_array_equal(serial, serial2)
-        np.testing.assert_array_equal(serial, threaded)
+        whole = NoisyBatchEvaluator(p, seed=5)(X)
+        whole2 = NoisyBatchEvaluator(p, seed=5)(X)
+        ev = NoisyBatchEvaluator(p, seed=5)
+        split = np.concatenate([ev(X[i : i + 4]) for i in range(0, 16, 4)])
+        np.testing.assert_array_equal(whole, whole2)
+        np.testing.assert_array_equal(whole, split)
 
     def test_batch_evaluator_state_advances(self):
         p = make_benchmark("SixHumpCamel2")
@@ -169,6 +186,12 @@ class TestEvaluators:
         second = ev(X)
         assert not np.array_equal(first, second)
 
+    def test_scalar_true_mean_rejected(self):
+        p = replace(make_benchmark("Dropwave2"), true_mean=lambda X: float(np.sum(X)))
+        X = p.domain.sample_uniform(4, np.random.default_rng(2))
+        with pytest.raises(ValueError, match=r"true_mean must map \(n, d\) to \(n,\)"):
+            NoisyBatchEvaluator(p, seed=5)(X)
+
     def test_objective_wrapper_noise_scale(self):
         p = make_benchmark("Rastrigin2")
         obj = benchmark_objective(p, 3)
@@ -176,3 +199,18 @@ class TestEvaluators:
         draws = np.array([obj.eval(x) for _ in range(2000)])
         assert abs(draws.mean()) < 0.05  # true value 0, std 0.5
         assert abs(draws.std(ddof=1) - 0.5) < 0.05
+
+    @pytest.mark.parametrize("name", ["Dropwave2", "Ackley10", "Rastrigin2"])
+    def test_objective_run_equals_evaluator_run(self, name):
+        # A library run through the objective alone draws the same noise as
+        # the CLI's run through the batch evaluator on the "noise" stream.
+        p = make_benchmark(name)
+        cfg = default_config(p.dimension, 4, n_iterations=5, seed=0)
+        alone = run_prosrs(benchmark_objective(p, 0), cfg).logs
+        batched = run_prosrs(
+            benchmark_objective(p, 0), cfg, NoisyBatchEvaluator(p, stream_seedseq(0, "noise"))
+        ).logs
+        assert len(alone) == len(batched)
+        for a, b in zip(alone, batched):
+            np.testing.assert_array_equal(a.proposed_x, b.proposed_x)
+            np.testing.assert_array_equal(a.proposed_y, b.proposed_y)

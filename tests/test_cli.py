@@ -147,6 +147,9 @@ class TestOptimize:
             ([1], "error"),
             ({"rho": "0.5"}, "rho"),
             ({"n_candidates_per_dim": 4.5}, "n_candidates_per_dim"),
+            ({"s_init": {"gamma": 0, "p": 1, "sigma": True}}, "sigma must be a number"),
+            ({"s_init": {"gamma": "a", "p": 1, "sigma": 0.1}}, "gamma must be a number"),
+            ({"s_init": {"gamma": 0, "p": None, "sigma": 0.1}}, "p must be a number"),
         ],
     )
     def test_bad_run_parameters_fail_before_evaluating(self, tmp_path, capsys, config, message):
@@ -372,6 +375,30 @@ class TestCostProfile:
             (tmp_path / "Rastrigin2_prosrs_seed0_cost_summary.json").read_text()
         )
         assert summary["n_rows"] == 1
+        assert summary["late_over_early_median_ratio"] is None
+
+    def test_zero_early_median_writes_null_ratio(self, tmp_path):
+        # Restarts make design rows, which log no algorithm time, the majority
+        # of rows 20-70, so the early median is 0 and the ratio undefined.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"config": {
+            "c_fail": 1, "r_resolution": 0.9, "rho": 0.9, "sigma_crit": 0.9,
+            "n_candidates_per_dim": 20,
+        }}))
+        code = run_cli(
+            "cost-profile", "--problem", "Dropwave2", "--n-par", "1", "--iterations", "90",
+            "--config", cfg, "--out", tmp_path / "out",
+        )
+        assert code == 0
+        rows = loop_rows(tmp_path / "out" / "Dropwave2_prosrs_seed0.csv")
+        assert np.isnan(cost_ratio([float(row["algo_time_s"]) for row in rows]))
+
+        def reject(token):
+            raise ValueError(f"not valid JSON: {token}")
+
+        text = (tmp_path / "out" / "Dropwave2_prosrs_seed0_cost_summary.json").read_text()
+        summary = json.loads(text, parse_constant=reject)
+        assert summary["n_rows"] == 90
         assert summary["late_over_early_median_ratio"] is None
 
     def test_evaluator_failure_flushes_the_partial_log(self, tmp_path, capsys):
