@@ -90,7 +90,12 @@ def fit_rbf(data: EvalDataset, domain: BoxDomain, gamma: float) -> RbfSurrogate:
     centers = domain.to_unit(data.X)
     sqrt_w = np.sqrt(response_weights(data.y, gamma))
     u, s, vt = np.linalg.svd(sqrt_w[:, None] * multiquadric_matrix(centers, centers))
-    ub = u.T @ (sqrt_w * data.y)
+    # Scored and solved for the responses scaled to |b| < 1, and scaled back
+    # by the same power of two, which is exact: the squared scores of huge or
+    # tiny responses would overflow or underflow.
+    b = sqrt_w * data.y
+    k = int(np.frexp(np.max(np.abs(b)))[1])
+    ub = u.T @ np.ldexp(b, -k)
 
     shifted = s**2 + np.array(DEFAULT_LAMBDA_GRID)[:, None]
     scores = n * np.sum((ub / shifted) ** 2, axis=1) / np.sum(1.0 / shifted, axis=1) ** 2
@@ -103,7 +108,7 @@ def fit_rbf(data: EvalDataset, domain: BoxDomain, gamma: float) -> RbfSurrogate:
 
     return RbfSurrogate(
         centers=centers,
-        coefficients=vt.T @ (s * ub / shifted[best]),
+        coefficients=np.ldexp(vt.T @ (s * ub / shifted[best]), k),
         gamma=float(gamma),
         lam=DEFAULT_LAMBDA_GRID[best],
         norm_record=domain,

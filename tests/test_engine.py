@@ -90,6 +90,21 @@ class TestRunProsrs:
         result = run_prosrs(obj, cfg)
         assert result.y_best <= 0.01
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_response_scale_proposes_as_unit_scale(self, scale):
+        # The surrogate's ridge penalty and the candidate scores do not depend
+        # on the response scale, and nothing on the way overflows (warnings
+        # are errors here).
+        def scaled(s):
+            dom = BoxDomain(np.full(2, -1.0), np.full(2, 1.0))
+            return Objective(2, dom, lambda x: s * float(np.sum(np.asarray(x) ** 2)))
+
+        cfg = default_config(2, 4, n_iterations=40, seed=0)
+        base = run_prosrs(scaled(1.0), cfg)
+        result = run_prosrs(scaled(scale), cfg)
+        for a, b in zip(base.logs, result.logs, strict=True):
+            np.testing.assert_array_equal(a.proposed_x, b.proposed_x)
+
     def test_monotone_best(self):
         obj = sphere_objective()
         cfg = default_config(2, 4, n_iterations=20, seed=3)

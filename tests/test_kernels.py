@@ -35,6 +35,37 @@ class TestPublicWrappers:
         assert np.all(m >= 1.0)
 
 
+def multiquadric_by_definition(a, b):
+    return np.sqrt(1.0 + ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+
+
+class TestMultiquadricProduct:
+    @pytest.mark.parametrize("d", [1, 2, 10, 64])
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 50), (40, 60)])
+    def test_matches_definition(self, d, rows, cols):
+        # Unit-cube points, as every production caller passes; the last two
+        # pairings hold zero distances, on the diagonal and between copies.
+        rng = np.random.default_rng(100 * d + rows)
+        a, b = rng.uniform(size=(rows, d)), rng.uniform(size=(cols, d))
+        for x, y in ((a, b), (a, a), (np.vstack([b, b]), b)):
+            want = multiquadric_by_definition(x, y)
+            got = _kernels.multiquadric_matrix(x, y)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("d", [2, 10])
+    def test_update_from_nothing_equals_min_dists_bitwise(self, d):
+        # A candidate's distance to a picked point rounds as its distance to
+        # an evaluated point does.
+        rng = np.random.default_rng(d)
+        t = 3 * _kernels.BLOCK_ROWS + 5
+        pts, ref = rng.uniform(size=(t, d)), rng.uniform(size=d)
+        np.testing.assert_array_equal(
+            _kernels.update_min_dists(np.full(t, np.inf), pts, ref),
+            _kernels.min_dists(pts, ref[None]),
+        )
+
+
 class TestNumpyMinDistsBlocks:
     B = _kernels.BLOCK_ROWS
 

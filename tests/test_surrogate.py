@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
 
 from prosrs import _kernels
 from prosrs.problem import BoxDomain, EvalDataset
@@ -103,7 +102,7 @@ class TestPredict:
         m = RbfSurrogate(centers, coef, 0.0, 0.0, domain)
         X = domain.sample_uniform(rows, rng)
         u = domain.to_unit(X)
-        want = np.sqrt(1 + cdist(u, centers, "sqeuclidean")) @ coef
+        want = _kernels.multiquadric_matrix(u, centers) @ coef
         np.testing.assert_array_equal(predict_batch(m, X), want)
 
     def test_peak_memory_does_not_grow_with_rows(self):
@@ -228,6 +227,19 @@ class TestFit:
             rhs = phi.T @ (w * y)
             assert np.linalg.norm(gram @ model.coefficients - rhs) <= 1e-8 * np.linalg.norm(rhs)
         assert len(chosen) >= 3
+
+    @pytest.mark.parametrize("e", [-1000, -600, 500, 900])
+    def test_power_of_two_response_scale_keeps_lambda_and_scales_coefficients(self, e):
+        # Scaling the responses by 2^e is exact, so GCV must pick the same
+        # penalty and the coefficients must scale by exactly 2^e; squaring
+        # the raw scores would overflow (e >= 500) or underflow to ties.
+        rng = np.random.default_rng(3)
+        X = rng.uniform(0, 1, size=(40, 3))
+        y = 3.0 + np.sin(3 * X.sum(axis=1)) + 0.3 * rng.standard_normal(40)
+        base = fit_rbf(EvalDataset(X, y), unit_box(3), -2.0)
+        scaled = fit_rbf(EvalDataset(X, np.ldexp(y, e)), unit_box(3), -2.0)
+        assert scaled.lam == base.lam
+        np.testing.assert_array_equal(scaled.coefficients, np.ldexp(base.coefficients, e))
 
     def test_constant_responses_fit(self):
         rng = np.random.default_rng(5)
