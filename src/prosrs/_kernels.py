@@ -1,30 +1,45 @@
 """Hot numeric kernels: pairwise distances and the multiquadric basis matrix.
 
+Everything here is plain numpy. The squared distance between two points is
+summed over the coordinates in order, one coordinate column at a time, as
+``scipy.spatial.distance.cdist(..., "sqeuclidean")`` sums it, so both round
+alike: ``squared_distances`` is that one summation, and every distance a run
+compares (nearest evaluated point, nearest pick, the design's maximin score)
+goes through it.
+
 ``multiquadric_matrix`` forms 1 + ||a_i - b_j||^2 as one matrix product of
 two factors that carry the squared norms and the 1 as extra columns, after
 shifting both stacks by the centre of the unit cube, where the surrogate's
 points live. At prediction shapes (a block of rows against tens to hundreds
-of centres) that product of d + 2 columns beats ``cdist``'s distance loop,
-by the most at high d; on a small square fit, the few extra numpy calls
-make it some microseconds slower. The product cancels the squared
-norms against -2 a.b, so each entry of 1 + r^2 carries an absolute error of
-about (||a - c||^2 + ||b - c||^2 + 1) * eps, c being that centre: at most
-(d / 2 + 1) * eps for unit-cube points, and relative to 1 + r^2 >= 1 that is
-as small. The distance kernels stay on ``cdist``, which subtracts the
-coordinates before squaring: in the product form a distance near zero would
-come out as about sqrt(eps) times the points' norm, an error that the
-basis's +1 absorbs but a nearest-point distance would not.
+of centres) that product of d + 2 columns beats a distance loop, by the most
+at high d; on a small square fit, the few extra numpy calls make it some
+microseconds slower. The product cancels the squared norms against -2 a.b,
+so each entry of 1 + r^2 carries an absolute error of about (||a - c||^2 +
+||b - c||^2 + 1) * eps, c being that centre: at most (d / 2 + 1) * eps for
+unit-cube points, and relative to 1 + r^2 >= 1 that is as small.
 
-``min_dists`` works on blocks of ``BLOCK_ROWS`` query points at a time: it
-takes the minimum of each block's squared distances and one square root at
-the end, so its memory is O(BLOCK_ROWS * len(refs)) however many points are
-queried. sqrt is monotone and correctly rounded, so the result is the same as
-the minimum of the distances.
+``min_dists`` uses the product form only to find each point's nearest refs:
+in it a distance near zero comes out as about sqrt(eps) times the points'
+norm, an error that the basis's +1 absorbs but a nearest-point distance would
+not. Every ref that the product puts within its error bound of the nearest
+is then measured exactly, coordinate by coordinate (see its docstring). It
+works on blocks of query points, as many as keep the block's product within
+``DIST_CELLS`` entries, and takes one square root at the end, so its memory
+stays bounded however many points are queried; sqrt is monotone and
+correctly rounded, so the result is the same as the minimum of the
+distances.
+
+``predict_batch`` multiplies each block of the basis by the coefficients.
+Under ``one_blas_thread``, as in every run and every model-error trial, the
+blocked products equal one dense product over all rows bit for bit. With
+more BLAS threads, BLAS may split the dense product's rows between threads
+at a row that is not a multiple of BLOCK_ROWS, and the last bits can differ.
 
 ``one_blas_thread`` pins every loaded OpenBLAS to one thread while a run is
 inside it. A run makes thousands of small dense solves and products (n in the
 hundreds at most), for which a second BLAS thread costs CPU without saving
-time.
+time. It pins every OpenBLAS it finds, numpy's and any other a caller has
+loaded (scipy's, for one).
 """
 
 from __future__ import annotations
@@ -34,14 +49,16 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-# Query rows evaluated at once by the row-blocked kernels: a block of
-# distances to n points takes BLOCK_ROWS * n doubles. A multiple of the row
-# groups that BLAS's matrix-vector kernels work in, so a blocked product
-# rounds as one product over all rows does, wherever BLAS also splits those
-# rows between its threads at such multiples.
+# Query rows of the basis that predict_batch holds at once: a block against n
+# centres takes BLOCK_ROWS * n doubles. A multiple of the row groups that
+# BLAS's matrix-vector kernels work in, so that on one BLAS thread a blocked
+# product rounds as one product over all rows does.
 BLOCK_ROWS = 1024
+# Entries that a distance kernel holds at once (512 KiB of doubles): the
+# product matrix of min_dists takes as many query rows per block as fit, and
+# the maximin design as many pairs of points, at least one.
+DIST_CELLS = 2**16
 
 
 def row_blocks(n_rows: int) -> list:
@@ -62,20 +79,93 @@ def _c2d(a):
     return np.atleast_2d(np.ascontiguousarray(a, dtype=np.float64))
 
 
+def squared_distances(a, b) -> np.ndarray:
+    """Squared distances between the rows of two stacks of points that
+    broadcast together, such as (n, d) against (n, d) or (1, d).
+
+    The squared coordinate differences are summed over the last axis in
+    coordinate order, the summation of scipy's ``cdist(..., "sqeuclidean")``.
+    The differences take the layout of ``a``: in Fortran order (a transposed
+    copy, as ``np.asfortranarray`` makes) each coordinate column is read
+    contiguously.
+    """
+    diff = np.subtract(a, b)
+    diff *= diff
+    acc = diff[..., 0].copy()
+    for k in range(1, diff.shape[-1]):
+        acc += diff[..., k]
+    return acc
+
+
+# Safety factor on the error bound of the product in min_dists: the bound
+# derived in its docstring, doubled, covers the rounding of the band itself.
+_BAND_SAFETY = 2.0
+
+
 def min_dists(points, refs) -> np.ndarray:
-    """Distance from each row of ``points`` to its nearest row of ``refs``."""
+    """Distance from each row of ``points`` to its nearest row of ``refs``.
+
+    With c the mean of the refs, a = p - c and b = r - c, one product
+    [a, 1] . [-2 b, ||b||^2] gives v = ||p - r||^2 - ||a||^2 for a block of
+    rows against all refs, so the smallest v marks the nearest ref. Each v
+    is off by at most 1.5 (d + 2) eps (||a||^2 + ||b||^2), and the squared
+    distance that scipy's ``cdist`` computes (coordinate by coordinate, in
+    order) is off the true one by at most (d + 2) eps (||a||^2 + ||b||^2).
+    So the ref with the smallest computed distance has a v within
+    5 (d + 2) eps (||a||^2 + max ||b||^2) of the row's smallest v. Every ref
+    in that band, widened by a safety factor, is measured exactly and the
+    smallest measure is kept: the result is cdist's minimum bit for bit by
+    construction, not only when the product picks the right ref. Most rows
+    have one ref in the band; a near tie costs a few more exact measures.
+    """
     points, refs = _c2d(points), _c2d(refs)
-    out = np.empty(points.shape[0])
-    for block in row_blocks(points.shape[0]):
-        out[block] = cdist(points[block], refs, "sqeuclidean").min(axis=1)
+    if refs.shape[0] == 0:
+        raise ValueError("refs must be nonempty")
+    d = refs.shape[1]
+    c = refs.mean(axis=0)
+    q = np.empty((d + 1, refs.shape[0]))
+    qb = np.subtract(refs.T, c[:, None], out=q[:d])
+    q[d] = np.einsum("ij,ij->j", qb, qb)
+    qb *= -2.0
+    tol = _BAND_SAFETY * 5 * (d + 2) * np.finfo(float).eps
+    reach = q[d].max()
+    t = points.shape[0]
+    out = np.empty(t)
+    # Buffers shared by the blocks: a fresh product matrix per block would
+    # cost more in page faults than the product itself.
+    size = min(t, max(1, DIST_CELLS // refs.shape[0]))
+    p_buf, v_buf = np.empty((size, d + 1)), np.empty((size, refs.shape[0]))
+    p_buf[:, d] = 1.0
+    for start in range(0, t, size):
+        block = slice(start, min(start + size, t))
+        x = points[block]
+        n = x.shape[0]
+        p, v, rows = p_buf[:n], v_buf[:n], np.arange(n)
+        pa = np.subtract(x, c, out=p[:, :d])
+        np.matmul(p, q, out=v)
+        nearest = v.argmin(axis=1)
+        band = tol * (np.einsum("ij,ij->i", pa, pa) + reach) + v[rows, nearest]
+        exact = squared_distances(x, refs[nearest])
+        # The nearest is never above its own band, so exactly one ref per row
+        # is not above it unless some row has a near tie or a NaN band, and
+        # then every ref not above the band is measured too.
+        above = v > band[:, None]
+        if np.count_nonzero(above) != above.size - n:
+            i, j = np.nonzero(~above)
+            np.minimum.at(exact, i, squared_distances(x[i], refs[j]))
+        out[block] = exact
     return np.sqrt(out, out=out)
 
 
 def update_min_dists(current, points, new_ref) -> np.ndarray:
-    """Elementwise min of ``current`` and the distance to one new point."""
+    """Elementwise min of ``current`` and the distance to one new point,
+    summed as ``min_dists`` sums it. ``points`` is fastest in Fortran order."""
     current = np.ascontiguousarray(current, dtype=np.float64)
-    points = _c2d(points)
-    d = cdist(points, _c2d(new_ref), "sqeuclidean")[:, 0]
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    new_ref = np.atleast_2d(np.asarray(new_ref, dtype=np.float64))
+    if new_ref.shape != (1, points.shape[1]):
+        raise ValueError(f"new_ref of shape {new_ref.shape} is not one {points.shape[1]}-D point")
+    d = squared_distances(points, new_ref)
     return np.minimum(current, np.sqrt(d, out=d))
 
 

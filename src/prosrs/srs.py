@@ -108,6 +108,8 @@ def select_batch(points, model: RbfSurrogate, evaluated, pattern: WeightPattern)
 
     g = predict_batch(model, points)
     dmin = _kernels.min_dists(points, evaluated)
+    # A transposed copy, whose coordinate columns the refreshes read.
+    columns = np.asfortranarray(points)
     active = np.ones(t, dtype=bool)
     picked = []
     for w in pattern.weights:
@@ -130,5 +132,5 @@ def select_batch(points, model: RbfSurrogate, evaluated, pattern: WeightPattern)
         choice = idx[int(np.argmin(w * score_resp + (1.0 - w) * score_dist))]
         picked.append(int(choice))
         active[choice] = False
-        dmin = _kernels.update_min_dists(dmin, points, points[choice])
+        dmin = _kernels.update_min_dists(dmin, columns, points[choice])
     return picked

@@ -121,6 +121,11 @@ def predict_batch(model: RbfSurrogate, X) -> np.ndarray:
 
     Rows are evaluated in fixed-size blocks, so the basis matrix held at any
     time has at most ``_kernels.BLOCK_ROWS`` rows whatever the number of points.
+    Under ``_kernels.one_blas_thread``, as in every run and every model-error
+    trial, the result equals one dense ``multiquadric_matrix(u, centers) @
+    coefficients`` over all rows bit for bit; with more BLAS threads its last
+    bits can differ from that product, since BLAS splits the dense rows
+    between its threads where it likes.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.norm_record.dim:
@@ -145,7 +150,10 @@ def relative_l2_error(
 
     ``true_mean`` must be vectorized: it maps the (n_mc, d) sample to n_mc
     values. Raises if it does not, or if the true mean is (numerically) zero
-    in L2 over the sample, where the ratio is undefined.
+    in L2 over the sample, where the ratio is undefined. Both norms are taken
+    of the values scaled by one power of two, 2^-k with k the exponent of
+    max(|f|, |g|), which is exact and cancels in the ratio: the squares of
+    huge or tiny values would overflow or underflow.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
@@ -154,6 +162,8 @@ def relative_l2_error(
     f = np.asarray(true_mean(X), dtype=float)
     if f.shape != (n_mc,):
         raise ValueError(f"true_mean returned shape {f.shape}, expected ({n_mc},)")
+    k = int(np.frexp(max(np.max(np.abs(f)), np.max(np.abs(g))))[1])
+    f, g = np.ldexp(f, -k), np.ldexp(g, -k)
     denom = float(np.sqrt(np.mean(f**2)))
     if denom == 0.0:
         raise ValueError("true mean has zero L2 norm over the sample")

@@ -7,6 +7,7 @@ library's fast paths; none has a caller in the library itself.
 import math
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from prosrs import _kernels
 from prosrs.problem import BoxDomain
@@ -49,3 +50,19 @@ def gcv_scores(phi, w, y, lambdas):
         resid = b - hat @ b
         out.append(n * float(resid @ resid) / float(np.trace(np.eye(n) - hat)) ** 2)
     return np.array(out)
+
+
+def latin_hypercube_maximin_loop(m, domain, rng, n_restarts=100):
+    """Best of ``n_restarts`` cell-centred Latin hypercubes, drawn one restart
+    and one axis at a time with ``rng.permutation`` and scored by scipy's
+    ``pdist`` (the first best wins; one point scores +inf)."""
+    best, best_value = None, -np.inf
+    for _ in range(n_restarts):
+        u = np.empty((m, domain.dim))
+        for j in range(domain.dim):
+            u[:, j] = (rng.permutation(m) + 0.5) / m
+        points = domain.from_unit(u)
+        value = pdist(points).min() if m > 1 else np.inf
+        if value > best_value:
+            best, best_value = points, value
+    return best

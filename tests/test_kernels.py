@@ -1,9 +1,13 @@
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from prosrs import _kernels
@@ -88,6 +92,100 @@ class TestNumpyMinDistsBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 40 * 2**20
+
+
+    @pytest.mark.parametrize("refs", [1, 53, 400])
+    def test_block_edges_match_cdist_bitwise(self, refs):
+        # Query counts around the rows that one block of the product holds.
+        rng = np.random.default_rng(refs)
+        size = max(1, _kernels.DIST_CELLS // refs)
+        ref_pts = rng.normal(size=(refs, 5))
+        for rows in (size - 1, size, size + 1, 2 * size + 3):
+            pts = rng.normal(size=(max(rows, 1), 5))
+            np.testing.assert_array_equal(_kernels.min_dists(pts, ref_pts), cdist_min(pts, ref_pts))
+
+
+def cdist_min(points, refs):
+    """The oracle: the smallest of scipy's squared distances, square-rooted."""
+    return np.sqrt(cdist(points, refs, "sqeuclidean").min(axis=1))
+
+
+def near_tie_case(d, n_points=40, seed=0):
+    """Query points far apart, each with six refs of its own at distances that
+    are equal in exact arithmetic (the same offset reversed, rotated or
+    negated) or an ulp apart, so that computed squared distances tie or
+    differ in their last bits; the product form cannot order these."""
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-100, 100, size=(n_points, d))
+    offsets = rng.uniform(0.5, 1.5, size=(n_points, d))
+    groups = [
+        p + np.array([o, -o, o[::-1], np.roll(o, 1), o * (1 + 2.0**-52), o * (1 - 2.0**-53)])
+        for p, o in zip(points, offsets)
+    ]
+    refs = np.vstack(groups)
+    return points, refs[rng.permutation(len(refs))]
+
+
+class TestNearTies:
+    @pytest.mark.parametrize("d", [1, 2, 3, 10, 20])
+    def test_min_dists_equals_cdist_on_near_ties(self, d):
+        points, refs = near_tie_case(d)
+        sq = cdist(points, refs, "sqeuclidean")
+        # The case holds real near ties: on some rows the nearest two refs
+        # differ in their last bits only.
+        top2 = np.sort(sq, axis=1)[:, :2]
+        gaps = (top2[:, 1] - top2[:, 0]) / top2[:, 0]
+        assert np.any((gaps > 0) & (gaps < 1e-14))
+        np.testing.assert_array_equal(_kernels.min_dists(points, refs), cdist_min(points, refs))
+
+    @pytest.mark.parametrize("d", [1, 20])
+    def test_one_row_blocks(self, d):
+        points, refs = near_tie_case(d, n_points=6)
+        with mock.patch.object(_kernels, "DIST_CELLS", 1):
+            got = _kernels.min_dists(points, refs)
+        np.testing.assert_array_equal(got, cdist_min(points, refs))
+        np.testing.assert_array_equal(
+            _kernels.min_dists(points[2], refs), cdist_min(points[2:3], refs)
+        )
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 20])
+    def test_duplicate_refs_and_zero_distances(self, d):
+        rng = np.random.default_rng(d)
+        refs = rng.uniform(size=(30, d))
+        refs = np.vstack([refs, refs[::3], refs[:1]])
+        on_refs = refs[::2]
+        points = np.vstack([on_refs, rng.uniform(size=(50, d))])
+        got = _kernels.min_dists(points, refs)
+        np.testing.assert_array_equal(got, cdist_min(points, refs))
+        assert np.all(got[: len(on_refs)] == 0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 20])
+    def test_update_min_dists_equals_cdist_on_near_ties(self, d):
+        points, refs = near_tie_case(d, n_points=1)
+        new_ref = points[0]
+        new = np.sqrt(cdist(refs, new_ref[None], "sqeuclidean")[:, 0])
+        # Current distances equal to, or an ulp either side of, the new ones.
+        current = new * (1 + np.resize([-(2.0**-52), 0.0, 2.0**-52], len(new)))
+        want = np.minimum(current, new)
+        for layout in (refs, np.asfortranarray(refs)):
+            np.testing.assert_array_equal(_kernels.update_min_dists(current, layout, new_ref), want)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_min_dists_equals_cdist_on_lattice_points(self, data):
+        # Coordinates on a coarse grid of inexact decimals give exact and
+        # near ties; a small cell budget splits the rows into uneven blocks.
+        d = data.draw(st.integers(1, 6), label="d")
+        grid = st.integers(-5, 5).map(lambda k: 0.1 * k)
+        points = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 40)), d), elements=grid))
+        refs = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 12)), d), elements=grid))
+        with mock.patch.object(_kernels, "DIST_CELLS", data.draw(st.integers(1, 100))):
+            got = _kernels.min_dists(points, refs)
+        np.testing.assert_array_equal(got, cdist_min(points, refs))
+
+    def test_empty_refs_raise(self):
+        with pytest.raises(ValueError):
+            _kernels.min_dists(np.zeros((3, 2)), np.zeros((0, 2)))
 
 
 

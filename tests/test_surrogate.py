@@ -105,6 +105,18 @@ class TestPredict:
         want = _kernels.multiquadric_matrix(u, centers) @ coef
         np.testing.assert_array_equal(predict_batch(m, X), want)
 
+    @pytest.mark.parametrize("rows", [2049, 2050, 4097])
+    def test_blocked_rows_match_dense_product_under_one_blas_thread(self, rows):
+        # The contract every run and model-error trial relies on. On two BLAS
+        # threads the dense matrix-vector product splits these rows at a row
+        # that is not a multiple of BLOCK_ROWS, and the last bits can differ.
+        rng = np.random.default_rng(rows)
+        m = RbfSurrogate(rng.uniform(size=(400, 10)), rng.normal(size=400), 0.0, 0.0, unit_box(10))
+        X = rng.uniform(size=(rows, 10))
+        with _kernels.one_blas_thread():
+            want = _kernels.multiquadric_matrix(X, m.centers) @ m.coefficients
+            np.testing.assert_array_equal(predict_batch(m, X), want)
+
     def test_peak_memory_does_not_grow_with_rows(self):
         # A dense 100 000 x 400 basis matrix alone would take 305 MiB.
         rng = np.random.default_rng(0)
@@ -287,6 +299,27 @@ class TestRelativeL2Error:
                 model, lambda X: np.zeros(len(X)), unit_box(2), 100,
                 np.random.default_rng(3),
             )
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    def test_huge_and_tiny_responses_score_as_unit_scale(self, scale):
+        # The squares of 1e160 overflow and those of 1e-160 underflow; scaled
+        # by a power of two, the ratio is that of the unit-scale problem, up
+        # to the rounding of the decimal scale in the fit.
+        dom = BoxDomain(-np.ones(2), np.ones(2))
+        X = np.random.default_rng(5).uniform(-1, 1, size=(30, 2))
+
+        def error(s):
+            def true_mean(P):
+                return s * (1.0 + np.sum(P**2, axis=1))
+
+            model = fit_rbf(EvalDataset(X, true_mean(X)), dom, 0.0)
+            return relative_l2_error(model, true_mean, dom, 2000, np.random.default_rng(6))
+
+        unit = error(1.0)
+        assert 0.0 < unit < 0.1
+        assert error(scale) == pytest.approx(unit, rel=1e-9)
+        # A power of two scales exactly, so the ratio is the same bit for bit.
+        assert error(2.0 ** np.round(np.log2(scale))) == unit
 
     def test_rejects_true_mean_that_is_not_vectorized(self):
         model = self.fitted()
