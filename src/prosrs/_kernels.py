@@ -97,11 +97,6 @@ def squared_distances(a, b) -> np.ndarray:
     return acc
 
 
-# Safety factor on the error bound of the product in min_dists: the bound
-# derived in its docstring, doubled, covers the rounding of the band itself.
-_BAND_SAFETY = 2.0
-
-
 def min_dists(points, refs) -> np.ndarray:
     """Distance from each row of ``points`` to its nearest row of ``refs``.
 
@@ -113,7 +108,7 @@ def min_dists(points, refs) -> np.ndarray:
     order) is off the true one by at most (d + 2) eps (||a||^2 + ||b||^2).
     So the ref with the smallest computed distance has a v within
     5 (d + 2) eps (||a||^2 + max ||b||^2) of the row's smallest v. Every ref
-    in that band, widened by a safety factor, is measured exactly and the
+    in that band, widened by a factor of two, is measured exactly and the
     smallest measure is kept: the result is cdist's minimum bit for bit by
     construction, not only when the product picks the right ref. Most rows
     have one ref in the band; a near tie costs a few more exact measures.
@@ -127,13 +122,14 @@ def min_dists(points, refs) -> np.ndarray:
     qb = np.subtract(refs.T, c[:, None], out=q[:d])
     q[d] = np.einsum("ij,ij->j", qb, qb)
     qb *= -2.0
-    tol = _BAND_SAFETY * 5 * (d + 2) * np.finfo(float).eps
+    # The bound of the docstring, doubled to cover the rounding of the band.
+    tol = 2 * 5 * (d + 2) * np.finfo(float).eps
     reach = q[d].max()
     t = points.shape[0]
     out = np.empty(t)
     # Buffers shared by the blocks: a fresh product matrix per block would
     # cost more in page faults than the product itself.
-    size = min(t, max(1, DIST_CELLS // refs.shape[0]))
+    size = max(1, min(t, DIST_CELLS // refs.shape[0]))
     p_buf, v_buf = np.empty((size, d + 1)), np.empty((size, refs.shape[0]))
     p_buf[:, d] = 1.0
     for start in range(0, t, size):
