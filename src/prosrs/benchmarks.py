@@ -264,7 +264,7 @@ class NoisyBatchEvaluator:
     def __call__(self, X) -> np.ndarray:
         problem = self.problem
         X, _ = _batch(X, problem.dimension)
-        outside = ~np.all((X >= problem.domain.lower) & (X <= problem.domain.upper), axis=1)
+        outside = ~problem.domain.contains(X)
         if outside.any():
             raise ValueError(f"point {X[outside][0]} lies outside the domain of {problem.name}")
         mean = np.asarray(problem.true_mean(X), dtype=float)

@@ -44,6 +44,11 @@ def latin_hypercube_maximin(
     # Laid out axis by axis, (restart, axis, point), and indexed as (restart,
     # point, axis): the pairs below gather contiguous rows of one axis.
     designs = domain.from_unit((perms.reshape(n_restarts, d, m).transpose(0, 2, 1) + 0.5) / m)
+    # Designs are returned as C-contiguous copies: callers' reductions over
+    # the rows of a design round by its layout, and the noisy responses would
+    # move with it. A single design needs no score.
+    if n_restarts == 1:
+        return designs[0].copy()
     by_axis = designs.transpose(0, 2, 1)
     # Each design's smallest squared distance, over chunks of its point pairs
     # that keep the coordinate differences of all designs within DIST_CELLS.
@@ -55,6 +60,4 @@ def latin_hypercube_maximin(
         a, b = by_axis[:, :, first[chunk]], by_axis[:, :, second[chunk]]
         pairs = squared_distances(a.transpose(0, 2, 1), b.transpose(0, 2, 1))
         np.minimum(closest, pairs.min(axis=1), out=closest)
-    # A C-contiguous copy: callers' reductions over the rows of a design round
-    # by its layout, and the noisy responses would move with it.
     return designs[int(np.argmax(np.sqrt(closest)))].copy()

@@ -5,8 +5,11 @@ weighted RBF surrogate on the current node's data, propose a batch, evaluate
 it in one parallel barrier, update the exploitation schedule, and manage the
 zoom tree (zoom in when the spread parameter crosses its critical value,
 restart from a fresh design when the would-be child is finer than the
-resolution threshold, occasionally zoom out). Runs are bit-reproducible given
-the seed and a deterministic evaluator.
+resolution threshold, occasionally zoom out). The evaluations live on the
+tree: ``tree.archive`` holds every one since the last restart, and
+``tree.data``, the current node's data, is that archive restricted to the
+node's box. Runs are bit-reproducible given the seed and a deterministic
+evaluator.
 
 Evaluators own the parallelism: they take a (k, d) batch and return k values
 in order. Per-iteration wall time is split into algorithm time and the
@@ -140,8 +143,8 @@ class _Recorder:
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if y.shape != (X.shape[0],):
             raise EvaluationError(
-                f"evaluator returned {y.shape[0] if y.ndim else 0} values "
-                f"for a batch of {X.shape[0]}",
+                f"evaluator returned shape {y.shape} for a batch of "
+                f"{X.shape[0]}; expected ({X.shape[0]},)",
                 logs=self.logs,
             )
         bad = np.flatnonzero(~np.isfinite(y))
@@ -234,13 +237,13 @@ def run_prosrs(
             design_step(iteration)
             continue
 
-        node = tree.current
+        node, data = tree.current, tree.data
         state = node.state
 
         t0 = time.perf_counter()
-        model = fit_rbf(node.data, node.omega, state.gamma)
+        model = fit_rbf(data, node.omega, state.gamma)
         candidates = generate_candidates(
-            node.data,
+            data,
             node.omega,
             state,
             model,
@@ -248,25 +251,26 @@ def run_prosrs(
             rngs["candidates"],
         )
         pattern = weight_pattern(config.n_par, proposal_count)
-        X_new = candidates[select_batch(candidates, model, node.data.X, pattern)]
+        X_new = candidates[select_batch(candidates, model, data.X, pattern)]
         algo_time = time.perf_counter() - t0
         proposal_count += 1
 
-        best_prior = float(node.data.y.min())
+        best_prior = float(data.y.min())
         y_new, t_eval = rec.evaluate(evaluator, X_new)
         failed = is_failure(y_new, best_prior)
 
         t0 = time.perf_counter()
         tree.record_batch(X_new, y_new)
-        update_state(node, effective_n(node.data, node.omega), failed, config)
+        update_state(node, effective_n(tree.data, node.omega), failed, config)
 
         event = EVENT_NORMAL
         if node.state.sigma < config.sigma_crit:
-            x_star = node.data.X[best_fit_index(node.data, model)]
+            x_star = tree.data.X[best_fit_index(tree.data, model)]
             child = tree.zoom_in(x_star)
             # fit_rbf needs two points, so a child holding fewer cannot be
             # searched: it restarts like one resolved below the threshold.
-            if len(child.data) < 2 or restart_condition(child, domain, config):
+            n = len(tree.data)
+            if n < 2 or restart_condition(child.omega, n, domain, config):
                 event = EVENT_RESTART
                 tree.restart()
                 pending = design_batches()

@@ -63,9 +63,12 @@ class BoxDomain:
     def center(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
 
-    def contains(self, x) -> bool:
+    def contains(self, x) -> bool | np.ndarray:
+        """Whether a point lies in the closed box; for row-stacked points, a
+        boolean mask over the rows."""
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
+        inside = np.all((x >= self.lower) & (x <= self.upper), axis=-1)
+        return bool(inside) if inside.ndim == 0 else inside
 
     def contains_box(self, other: "BoxDomain") -> bool:
         return bool(np.all(other.lower >= self.lower) and np.all(other.upper <= self.upper))
@@ -139,7 +142,7 @@ class EvalDataset:
 
     def restrict_to(self, domain: BoxDomain) -> "EvalDataset":
         """Subset of records inside ``domain``, original order preserved."""
-        inside = np.all((self.X >= domain.lower) & (self.X <= domain.upper), axis=1)
+        inside = domain.contains(self.X)
         return EvalDataset(self.X[inside], self.y[inside])
 
 

@@ -1,12 +1,14 @@
 """Domain-refinement tree: zoom in/out, exploitation schedule, restart check.
 
-A node bundles the evaluations inside its domain with the exploitation state
-driving proposals there. Zooming in shrinks the domain around the current
-surrogate-best point by the zoom factor (clipped at the parent's walls);
-zooming out returns to the parent with the node's own small probability. Once
-a would-be child is finer than the resolution threshold relative to the root
-domain, the run restarts from a fresh design: its one tree drops every node
-and evaluation and starts again from an empty root.
+A node holds a domain and the exploitation state driving proposals there; the
+evaluations live on the tree. Its archive holds every evaluation since the last
+restart, and the current node's data is that archive restricted to the node's
+box. Zooming in shrinks the domain around the current surrogate-best point by
+the zoom factor (clipped at the parent's walls); zooming out returns to the
+parent with the node's own small probability. Once a would-be child is finer
+than the resolution threshold relative to the root domain, the run restarts
+from a fresh design: its one tree drops every node and evaluation and starts
+again from an empty root.
 """
 
 from __future__ import annotations
@@ -31,28 +33,24 @@ logger = logging.getLogger(__name__)
 
 
 class ZoomNode:
-    """Tree node: local data, domain, exploitation state, zoom-out probability.
+    """Tree node: domain, exploitation state, zoom-out probability.
 
-    Mutated only by the single driver thread; ``children`` keeps creation
-    order, which breaks ties when several children contain the zoom center.
+    A node holds no evaluations: while it is current, its data is
+    ``ZoomTree.data``, the tree's archive restricted to ``omega``. Mutated only
+    by the single driver thread; ``children`` keeps creation order, which
+    breaks ties when several children contain the zoom center.
     """
 
     def __init__(
         self,
-        data: EvalDataset,
         omega: BoxDomain,
         state: ExploitState,
         beta: float,
         parent: "ZoomNode | None" = None,
         node_id: int = 0,
     ):
-        if len(data) and not np.all(
-            (data.X >= omega.lower) & (data.X <= omega.upper)
-        ):
-            raise ValueError("every data point must lie inside the node domain")
         if parent is not None and not parent.omega.contains_box(omega):
             raise ValueError("child domain must be contained in the parent domain")
-        self.data = data
         self.omega = omega
         self.state = state
         self.beta = float(beta)
@@ -111,32 +109,32 @@ def effective_n(data: EvalDataset, omega: BoxDomain) -> int:
     return int(np.unique(idx.view(np.dtype((np.void, 8 * d)))).size)
 
 
-def restart_condition(child: ZoomNode, root_domain: BoxDomain, config: RunConfig) -> bool:
-    """True iff the child resolves finer than r times the root in every dimension.
+def restart_condition(omega: BoxDomain, n: int, root_domain: BoxDomain, config: RunConfig) -> bool:
+    """True iff a child domain ``omega`` holding ``n`` evaluations resolves
+    finer than r times the root in every dimension.
 
-    The test is n^(-1/d) * side_i(child) < r * side_i(root) for all i, with n
-    the child's data count. An empty child cannot be tested and never
-    triggers a restart.
+    The test is n^(-1/d) * side_i(omega) < r * side_i(root) for all i. An
+    empty child cannot be tested and never triggers a restart.
     """
-    n = len(child.data)
     if n == 0:
         logger.debug("restart check skipped: child has no data")
         return False
-    factor = n ** (-1.0 / child.omega.dim)
+    factor = n ** (-1.0 / omega.dim)
     return bool(
         np.all(
-            factor * child.omega.side_lengths
+            factor * omega.side_lengths
             < config.r_resolution * root_domain.side_lengths
         )
     )
 
 
 class ZoomTree:
-    """Root/current bookkeeping plus the archive feeding data refreshes.
+    """Root/current bookkeeping, the archive, and the current node's data.
 
     One tree serves a whole run, and node ids keep counting across restarts.
-    The archive holds every evaluation since the last restart; node data is
-    re-derived from it on child creation, child revisit, and zoom-out.
+    ``archive`` holds every evaluation since the last restart. ``data`` holds
+    the current node's evaluations: it is re-derived from the archive whenever
+    the current node changes, and grows with the archive while it stays.
     """
 
     def __init__(self, root_domain: BoxDomain, config: RunConfig):
@@ -145,19 +143,30 @@ class ZoomTree:
         self._ids = itertools.count()
         self.restart()
 
+    @property
+    def current(self) -> ZoomNode:
+        return self._current
+
+    @current.setter
+    def current(self, node: ZoomNode) -> None:
+        # The one place the current data is derived: every move of the
+        # current node (restart, zoom-in, zoom-out) comes through here.
+        self._current = node
+        self.data = self.archive.restrict_to(node.omega)
+
     def restart(self) -> None:
         """Drop every node and evaluation; a new empty root becomes current."""
         self.archive = EvalDataset(np.empty((0, self.root_domain.dim)), np.empty(0))
         self.root = ZoomNode(
-            self.archive, self.root_domain, self.config.s_init, self.config.beta_init,
+            self.root_domain, self.config.s_init, self.config.beta_init,
             node_id=next(self._ids),
         )
         self.current = self.root
 
     def record_batch(self, X, y) -> None:
-        """Append freshly evaluated points to the archive and the current node."""
+        """Append freshly evaluated points to the archive and the current data."""
         self.archive = self.archive.with_batch(X, y)
-        self.current.data = self.current.data.with_batch(X, y)
+        self.data = self.data.with_batch(X, y)
 
     def zoom_in(self, x_star) -> ZoomNode:
         """Create or revisit the child of the current node around ``x_star``.
@@ -165,12 +174,12 @@ class ZoomTree:
         If no existing child's domain contains x_star, a new child is created
         whose domain has rho-fractional side lengths centered at x_star,
         clipped (not shifted) at the parent's walls; it starts from the
-        initial state and zoom-out probability, with data pulled from the
-        archive. Otherwise the containing child whose domain center is nearest
-        to x_star (ties: earliest-created) is revisited: its data is refreshed
-        from the archive and its zoom-out probability halves (floored at
-        beta_min); its state persists. Either way the parent's state and
-        failure counter reset, and the child becomes the current node.
+        initial state and zoom-out probability. Otherwise the containing child
+        whose domain center is nearest to x_star (ties: earliest-created) is
+        revisited: its zoom-out probability halves (floored at beta_min); its
+        state persists. Either way the parent's state and failure counter
+        reset, and the child becomes the current node, its data drawn from
+        the archive.
         """
         node = self.current
         x_star = np.asarray(x_star, dtype=float)
@@ -181,7 +190,6 @@ class ZoomTree:
         if containing:
             centers = np.array([c.omega.center() for c in containing])
             child = containing[int(np.argmin(np.linalg.norm(centers - x_star, axis=1)))]
-            child.data = self.archive.restrict_to(child.omega)
             child.beta = max(child.beta / 2.0, self.config.beta_min)
         else:
             half = 0.5 * self.config.rho * node.omega.side_lengths
@@ -190,12 +198,8 @@ class ZoomTree:
                 np.minimum(x_star + half, node.omega.upper),
             )
             child = ZoomNode(
-                self.archive.restrict_to(child_omega),
-                child_omega,
-                self.config.s_init,
-                self.config.beta_init,
-                parent=node,
-                node_id=next(self._ids),
+                child_omega, self.config.s_init, self.config.beta_init,
+                parent=node, node_id=next(self._ids),
             )
             node.children.append(child)
 
@@ -205,14 +209,11 @@ class ZoomTree:
         return child
 
     def maybe_zoom_out(self, rng: np.random.Generator) -> bool:
-        """With probability ``current.beta`` move to the parent, its data
-        refreshed from the archive; report whether the current node changed.
+        """With probability ``current.beta`` make the parent current, its data
+        drawn from the archive; report whether the current node changed.
         The root has no parent: it stays, and ``rng`` is not drawn from."""
         node = self.current
-        if node.parent is None:
+        if node.parent is None or rng.random() >= node.beta:
             return False
-        if rng.random() < node.beta:
-            node.parent.data = self.archive.restrict_to(node.parent.omega)
-            self.current = node.parent
-            return True
-        return False
+        self.current = node.parent
+        return True

@@ -79,10 +79,7 @@ def test_criterion_02_state_machine_tables():
     cfg2 = default_config(2, 1)  # c_fail = 2, delta_gamma = 2
 
     def node(state, counter=0, domain=domain2):
-        n = ZoomNode(
-            EvalDataset(np.atleast_2d(np.full(domain.dim, 0.5)), [1.0]),
-            domain, state, 0.02,
-        )
+        n = ZoomNode(domain, state, 0.02)
         n.fail_counter = counter
         return n
 
@@ -189,27 +186,25 @@ def test_criterion_05_restart_threshold_is_strict():
     root1 = BoxDomain(np.array([0.0]), np.array([100.0]))
 
     def child(sides, npts, root):
-        d = root.dim
+        # The child domain and its evaluation count, restart_condition's
+        # first two arguments.
         sides = np.atleast_1d(np.asarray(sides, dtype=float))
         lo = root.lower + 1.0
-        omega = BoxDomain(lo, lo + sides)
-        rng = np.random.default_rng(0)
-        pts = rng.uniform(lo, lo + sides, size=(npts, d))
-        return ZoomNode(EvalDataset(pts, np.zeros(npts)), omega, ExploitState(0.0, 1.0, 0.1), 0.02)
+        return BoxDomain(lo, lo + sides), npts
 
     checks = []
     # n = 1: threshold at side < r * 100 = 1.0, strictly
-    checks.append(restart_condition(child([1.0], 1, root1), root1, cfg1) is False)
-    checks.append(restart_condition(child([1.0 - 1e-12], 1, root1), root1, cfg1) is True)
-    checks.append(restart_condition(child([1.0 + 1e-12], 1, root1), root1, cfg1) is False)
+    checks.append(restart_condition(*child([1.0], 1, root1), root1, cfg1) is False)
+    checks.append(restart_condition(*child([1.0 - 1e-12], 1, root1), root1, cfg1) is True)
+    checks.append(restart_condition(*child([1.0 + 1e-12], 1, root1), root1, cfg1) is False)
     # n = 4 in 1-D: factor 0.25, threshold at side < 4.0
-    checks.append(restart_condition(child([4.0], 4, root1), root1, cfg1) is False)
-    checks.append(restart_condition(child([4.0 - 1e-9], 4, root1), root1, cfg1) is True)
+    checks.append(restart_condition(*child([4.0], 4, root1), root1, cfg1) is False)
+    checks.append(restart_condition(*child([4.0 - 1e-9], 4, root1), root1, cfg1) is True)
     # all dimensions must pass: one fine and one coarse dimension -> no restart
     cfg2 = default_config(2, 1)
     root2 = BoxDomain(np.zeros(2), np.full(2, 100.0))
-    checks.append(restart_condition(child([0.5, 50.0], 1, root2), root2, cfg2) is False)
-    checks.append(restart_condition(child([0.5, 0.5], 1, root2), root2, cfg2) is True)
+    checks.append(restart_condition(*child([0.5, 50.0], 1, root2), root2, cfg2) is False)
+    checks.append(restart_condition(*child([0.5, 0.5], 1, root2), root2, cfg2) is True)
     report(5, "restart trigger flips exactly at the strict inequality", all(checks))
 
 

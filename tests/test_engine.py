@@ -225,6 +225,9 @@ class TestRunProsrs:
         cfg = default_config(2, 4, n_iterations=5, seed=0)
         with pytest.raises(EvaluationError):
             run_prosrs(obj, cfg, lambda X: np.zeros(len(np.atleast_2d(X)) + 1))
+        # A (k, 1) column has k values but the wrong shape; the message says so.
+        with pytest.raises(EvaluationError, match=r"shape \(4, 1\) .* expected \(4,\)"):
+            run_prosrs(obj, cfg, lambda X: np.zeros((len(np.atleast_2d(X)), 1)))
 
     def test_threaded_evaluator_matches_serial(self):
         obj = sphere_objective()

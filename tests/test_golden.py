@@ -31,8 +31,8 @@ ITERATIONS = 15
 SEEDS = (0, 1)
 # (problem, n_par, config overrides). Ackley10 scores a 10 000-point pool;
 # Rastrigin2 runs n_par = 1; SixHumpCamel2 has an anisotropic domain; the
-# Dropwave2 overrides make it zoom in and restart within the budget; the
-# GoldsteinPrice2 overrides make it zoom out too, and restart after that.
+# Dropwave2 overrides make it restart within the budget; the GoldsteinPrice2
+# overrides make it zoom in and out.
 RUNS = (
     ("Ackley10", 4, {}),
     ("Rastrigin2", 1, {}),

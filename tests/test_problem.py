@@ -45,6 +45,11 @@ class TestBoxDomain:
         assert not inner.contains_box(outer)
         assert outer.contains([0.0, 1.0])
         assert not outer.contains([1.1, 0.5])
+        # A stack gives a row mask; rows on the boundary are inside.
+        stack = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [0.5, 1.0 + 1e-12], [1.0, 1.0]])
+        mask = outer.contains(stack)
+        assert mask.dtype == bool
+        np.testing.assert_array_equal(mask, [True, True, True, False, True])
 
     def test_arrays_are_readonly(self):
         dom = unit_square()

@@ -13,6 +13,7 @@ from prosrs.zoomtree import (
 )
 
 from oracles import max_zoom_level
+from test_golden import RUNS, SEEDS, run_fingerprint
 
 
 def box(lo, hi, d=None):
@@ -23,11 +24,8 @@ def box(lo, hi, d=None):
     return BoxDomain(lo, hi)
 
 
-def node_with(points, values, domain, state=None, beta=0.02):
-    return ZoomNode(
-        EvalDataset(np.atleast_2d(points), values), domain,
-        state or ExploitState(0.0, 1.0, 0.1), beta,
-    )
+def node_with(domain, state=None, beta=0.02):
+    return ZoomNode(domain, state or ExploitState(0.0, 1.0, 0.1), beta)
 
 
 class TestUpdateState:
@@ -35,7 +33,7 @@ class TestUpdateState:
         return default_config(d, n_par, **kw)
 
     def test_p_decay(self):
-        node = node_with([[0.5, 0.5]], [1.0], box(0, 1, 2))
+        node = node_with(box(0, 1, 2))
         update_state(node, 16, iteration_failed=True, config=self.cfg())
         assert node.state.p == pytest.approx(0.25)
         assert node.state.sigma == 0.1 and node.state.gamma == 0.0
@@ -43,7 +41,7 @@ class TestUpdateState:
 
     def test_failure_streak_halves_sigma_and_drops_gamma(self):
         cfg = self.cfg()
-        node = node_with([[0.5, 0.5]], [1.0], box(0, 1, 2), ExploitState(0.0, 0.05, 0.1))
+        node = node_with(box(0, 1, 2), ExploitState(0.0, 0.05, 0.1))
         node.fail_counter = cfg.c_fail - 1
         update_state(node, 4, iteration_failed=True, config=cfg)
         assert node.state.sigma == pytest.approx(0.05)
@@ -52,7 +50,7 @@ class TestUpdateState:
 
     def test_success_resets_streak(self):
         cfg = self.cfg()
-        node = node_with([[0.5, 0.5]], [1.0], box(0, 1, 2), ExploitState(0.0, 0.05, 0.1))
+        node = node_with(box(0, 1, 2), ExploitState(0.0, 0.05, 0.1))
         node.fail_counter = cfg.c_fail - 1
         update_state(node, 4, iteration_failed=False, config=cfg)
         assert node.fail_counter == 0
@@ -60,7 +58,7 @@ class TestUpdateState:
 
     def test_counter_holds_below_threshold(self):
         cfg = self.cfg(d=8, n_par=2)  # c_fail = 4
-        node = node_with([[0.5] * 8], [1.0], box(0, 1, 8), ExploitState(0.0, 0.01, 0.1))
+        node = node_with(box(0, 1, 8), ExploitState(0.0, 0.01, 0.1))
         for expected in (1, 2, 3):
             update_state(node, 2, iteration_failed=True, config=cfg)
             assert node.fail_counter == expected
@@ -70,7 +68,7 @@ class TestUpdateState:
         assert node.state.sigma == pytest.approx(0.05)
 
     def test_boundary_p_exactly_point_one_decays(self):
-        node = node_with([[0.5, 0.5]], [1.0], box(0, 1, 2), ExploitState(0.0, 0.1, 0.1))
+        node = node_with(box(0, 1, 2), ExploitState(0.0, 0.1, 0.1))
         update_state(node, 4, iteration_failed=True, config=self.cfg())
         assert node.state.p == pytest.approx(0.05)
         assert node.fail_counter == 0
@@ -154,15 +152,17 @@ class TestZoomIn:
     def test_child_data_comes_from_archive(self):
         tree = self.tree(np.random.default_rng(3), 100)
         tree.zoom_in(np.array([0.5, 0.5]))
-        # Recorded at the first child: in the archive, not in the root's data.
+        # Recorded at the first child, and outside the second child's box:
+        # the new child's data is drawn from the archive, not carried over.
         tree.record_batch(np.array([[0.6, 0.6]]), np.array([-5.0]))
-        assert -5.0 not in tree.root.data.y
+        tree.record_batch(np.array([[0.35, 0.35]]), np.array([-6.0]))
+        assert -5.0 in tree.data.y and -6.0 in tree.data.y
         tree.current = tree.root
         child = tree.zoom_in(np.array([0.75, 0.75]))
         expect = tree.archive.restrict_to(child.omega)
-        np.testing.assert_array_equal(child.data.X, expect.X)
-        np.testing.assert_array_equal(child.data.y, expect.y)
-        assert -5.0 in child.data.y
+        np.testing.assert_array_equal(tree.data.X, expect.X)
+        np.testing.assert_array_equal(tree.data.y, expect.y)
+        assert -5.0 in tree.data.y and -6.0 not in tree.data.y
 
     def test_parent_state_resets(self):
         tree = self.tree(np.random.default_rng(4), state=ExploitState(-4.0, 0.02, 0.01))
@@ -196,15 +196,17 @@ class TestZoomIn:
     def test_revisit_refreshes_data_from_archive(self):
         tree = self.tree(np.random.default_rng(6))
         child = tree.zoom_in(np.array([0.5, 0.5]))
+        before = len(tree.data)
         tree.current = tree.root
         tree.zoom_in(np.array([0.75, 0.75]))
-        # Recorded at a sibling: in the archive, not in the root's data.
+        # Recorded at a sibling, inside the first child's box too.
         tree.record_batch(np.array([[0.6, 0.6]]), np.array([-9.0]))
-        assert -9.0 not in child.data.y and -9.0 not in tree.root.data.y
         tree.current = tree.root
         assert tree.zoom_in(np.array([0.4, 0.4])) is child
-        np.testing.assert_array_equal(child.data.y, tree.archive.restrict_to(child.omega).y)
-        assert -9.0 in child.data.y
+        expect = tree.archive.restrict_to(child.omega)
+        np.testing.assert_array_equal(tree.data.X, expect.X)
+        np.testing.assert_array_equal(tree.data.y, expect.y)
+        assert -9.0 in tree.data.y and len(tree.data) == before + 1
 
     def test_nearest_center_wins_in_overlap(self):
         tree = self.tree(np.random.default_rng(7))
@@ -229,43 +231,37 @@ class TestRestartCondition:
     def child(self, length, n, d=1, root=None):
         root = root or box(0, 100, d)
         lo = np.full(d, 10.0)
-        omega = BoxDomain(lo, lo + length)
-        rng = np.random.default_rng(0)
-        pts = rng.uniform(lo, lo + length, size=(n, d))
-        node = ZoomNode(EvalDataset(pts, np.zeros(n)), omega, ExploitState(0.0, 1.0, 0.1), 0.02)
-        return node, root
+        return BoxDomain(lo, lo + length), n, root
 
     def cfg(self, d=1):
         return default_config(d, 1)
 
     def test_fine_child_triggers(self):
-        node, root = self.child(0.5, n=1)
-        assert restart_condition(node, root, self.cfg()) is True
+        omega, n, root = self.child(0.5, n=1)
+        assert restart_condition(omega, n, root, self.cfg()) is True
 
     def test_coarse_child_does_not(self):
-        node, root = self.child(2.0, n=1)
-        assert restart_condition(node, root, self.cfg()) is False
+        omega, n, root = self.child(2.0, n=1)
+        assert restart_condition(omega, n, root, self.cfg()) is False
 
     def test_strict_inequality_at_threshold(self):
         # n = 1 so the threshold is side < r * root side = 1.0 exactly.
-        node, root = self.child(1.0, n=1)
-        assert restart_condition(node, root, self.cfg()) is False
-        node, root = self.child(1.0 - 1e-9, n=1)
-        assert restart_condition(node, root, self.cfg()) is True
+        omega, n, root = self.child(1.0, n=1)
+        assert restart_condition(omega, n, root, self.cfg()) is False
+        omega, n, root = self.child(1.0 - 1e-9, n=1)
+        assert restart_condition(omega, n, root, self.cfg()) is True
 
     def test_every_dimension_must_pass(self):
         root = box(0, 100, 2)
         omega = BoxDomain(np.array([10.0, 10.0]), np.array([10.5, 90.0]))
-        pts = np.array([[10.2, 50.0]])
-        node = ZoomNode(EvalDataset(pts, [0.0]), omega, ExploitState(0.0, 1.0, 0.1), 0.02)
-        assert restart_condition(node, root, self.cfg(2)) is False
+        assert restart_condition(omega, 1, root, self.cfg(2)) is False
 
     def test_more_data_makes_restart_easier(self):
-        node, root = self.child(3.0, n=1)
+        omega, n, root = self.child(3.0, n=1)
         cfg = self.cfg()
-        assert restart_condition(node, root, cfg) is False
-        node, root = self.child(3.0, n=16)
-        assert restart_condition(node, root, cfg) is True  # 3/16 < 1
+        assert restart_condition(omega, n, root, cfg) is False
+        omega, n, root = self.child(3.0, n=16)
+        assert restart_condition(omega, n, root, cfg) is True  # 3/16 < 1
 
 
 class TestMaybeZoomOut:
@@ -294,12 +290,12 @@ class TestMaybeZoomOut:
 
     def test_parent_data_refreshed(self):
         tree, child = self.family(beta=1.0)
-        # Recorded at the child: the archive grows, the root's data does not.
         tree.record_batch(np.array([[0.5, 0.5]]), np.array([-9.0]))
-        assert len(tree.root.data) == len(tree.archive) - 1
+        assert len(tree.data) < len(tree.archive)
         assert tree.maybe_zoom_out(np.random.default_rng(0)) is True
         assert tree.current is tree.root
-        assert len(tree.root.data) == len(tree.archive)
+        np.testing.assert_array_equal(tree.data.X, tree.archive.X)
+        np.testing.assert_array_equal(tree.data.y, tree.archive.y)
 
     def test_frequency_matches_beta(self):
         tree, child = self.family(beta=0.02)
@@ -346,7 +342,13 @@ class TestTreeStructure:
         tree.record_batch(rng.uniform(0, 1, size=(10, 2)), rng.normal(size=10))
         tree.record_batch(np.array([[0.5, 0.5]]), np.array([1.0]))
         assert len(tree.archive) == 11
-        assert len(tree.current.data) == 11
+        assert len(tree.data) == 11
+        # At a child, a batch lands in both the archive and the child's data.
+        tree.zoom_in(np.array([0.5, 0.5]))
+        n = len(tree.data)
+        tree.record_batch(np.array([[0.45, 0.55]]), np.array([2.0]))
+        assert len(tree.archive) == 12 and len(tree.data) == n + 1
+        np.testing.assert_array_equal(tree.data.X[-1], [0.45, 0.55])
 
     def test_node_ids_are_unique(self):
         cfg = default_config(2, 1)
@@ -368,7 +370,7 @@ class TestTreeStructure:
         for i in range(0, 7, 3):
             tree.record_batch(X[i : i + 3], y[i : i + 3])
         whole = EvalDataset(X, y)
-        for data in (tree.archive, tree.root.data):
+        for data in (tree.archive, tree.data):
             np.testing.assert_array_equal(data.X, whole.X)
             np.testing.assert_array_equal(data.y, whole.y)
         assert tree.current is tree.root
@@ -382,27 +384,17 @@ class TestTreeStructure:
         tree.zoom_in(np.array([0.3, 0.3]))
         last = tree.zoom_in(np.array([0.3, 0.3]))
         tree.restart()
-        assert len(tree.archive) == 0 and len(tree.root.data) == 0
+        assert len(tree.archive) == 0 and len(tree.data) == 0
         assert tree.current is tree.root and tree.root is not old_root
         assert tree.root.parent is None and not tree.root.children
         assert tree.root.zoom_level == 0
         assert tree.root.state == cfg.s_init and tree.root.beta == cfg.beta_init
         assert tree.root.node_id == last.node_id + 1
 
-    def test_child_data_outside_domain_rejected(self):
-        with pytest.raises(ValueError):
-            ZoomNode(
-                EvalDataset(np.array([[2.0, 2.0]]), [0.0]), box(0, 1, 2),
-                ExploitState(0.0, 1.0, 0.1), 0.02,
-            )
-
     def test_state_components_never_increase_between_resets(self):
         cfg = default_config(2, 1)
         rng = np.random.default_rng(13)
-        node = ZoomNode(
-            EvalDataset(rng.uniform(0, 1, size=(20, 2)), rng.normal(size=20)),
-            box(0, 1, 2), cfg.s_init, cfg.beta_init,
-        )
+        node = ZoomNode(box(0, 1, 2), cfg.s_init, cfg.beta_init)
         prev = node.state
         for _ in range(200):
             update_state(node, int(rng.integers(1, 30)), bool(rng.random() < 0.7), cfg)
@@ -420,3 +412,29 @@ class TestTreeStructure:
             tree.current = tree.root
             child = tree.zoom_in(np.array([0.5, 0.5]))
             assert cfg.beta_min <= child.beta <= cfg.beta_init
+
+
+def test_data_is_the_archive_inside_the_current_box_after_every_batch(monkeypatch):
+    # The golden Dropwave2 and GoldsteinPrice2 override runs, which between
+    # them zoom in, zoom out and restart: after every recorded batch the
+    # current data is the archive restricted to the current box, bit for bit.
+    record_batch = ZoomTree.record_batch
+    levels = []
+
+    def checked(tree, X, y):
+        record_batch(tree, X, y)
+        want = tree.archive.restrict_to(tree.current.omega)
+        for got, expect in ((tree.data.X, want.X), (tree.data.y, want.y)):
+            assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+        assert np.all(tree.current.omega.contains(tree.data.X))
+        levels.append(tree.current.zoom_level)
+
+    monkeypatch.setattr(ZoomTree, "record_batch", checked)
+    events = []
+    for name, n_par, overrides in RUNS:
+        if name in ("Dropwave2", "GoldsteinPrice2"):
+            for seed in SEEDS:
+                events += run_fingerprint(name, n_par, seed, overrides)["events"]
+    assert {"zoom_in", "zoom_out", "restart"} <= set(events)
+    assert len(levels) == len(events)  # one recorded batch per log row
+    assert max(levels) > 0  # some batches were recorded at a child
