@@ -415,9 +415,10 @@ class TestTreeStructure:
 
 
 def test_data_is_the_archive_inside_the_current_box_after_every_batch(monkeypatch):
-    # The golden Dropwave2 and GoldsteinPrice2 override runs, which between
-    # them zoom in, zoom out and restart: after every recorded batch the
-    # current data is the archive restricted to the current box, bit for bit.
+    # The golden Dropwave2, GoldsteinPrice2 and Schaffer2 override runs, which
+    # between them zoom in, zoom out, restart, and restart after a zoom-out:
+    # after every recorded batch the current data is the archive restricted to
+    # the current box, bit for bit.
     record_batch = ZoomTree.record_batch
     levels = []
 
@@ -432,7 +433,7 @@ def test_data_is_the_archive_inside_the_current_box_after_every_batch(monkeypatc
     monkeypatch.setattr(ZoomTree, "record_batch", checked)
     events = []
     for name, n_par, overrides in RUNS:
-        if name in ("Dropwave2", "GoldsteinPrice2"):
+        if name in ("Dropwave2", "GoldsteinPrice2", "Schaffer2"):
             for seed in SEEDS:
                 events += run_fingerprint(name, n_par, seed, overrides)["events"]
     assert {"zoom_in", "zoom_out", "restart"} <= set(events)
