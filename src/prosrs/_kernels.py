@@ -29,11 +29,18 @@ stays bounded however many points are queried; sqrt is monotone and
 correctly rounded, so the result is the same as the minimum of the
 distances.
 
-``predict_batch`` multiplies each block of the basis by the coefficients.
-Under ``one_blas_thread``, as in every run and every model-error trial, the
-blocked products equal one dense product over all rows bit for bit. With
-more BLAS threads, BLAS may split the dense product's rows between threads
-at a row that is not a multiple of BLOCK_ROWS, and the last bits can differ.
+``predict_batch`` builds the centres' factor once per call, then maps each
+block of query rows to the unit cube, forms its basis and multiplies it by
+the coefficients, all in buffers shared by the blocks. ``row_blocks`` sizes
+the blocks by a cell budget, BASIS_CELLS entries of the basis: rows x n
+entries for n centres, with rows a multiple of 64 and at least 64, so that a
+block and its factors stay in a core's L2 cache. A block of n = 400 centres
+thus holds 320 rows, and one of 12 centres 10 880. Under ``one_blas_thread``,
+as in every run and every model-error trial, the blocked products equal one
+dense product over all rows bit for bit, since 64 is a multiple of the row
+groups that BLAS's matrix-vector kernels work in. With more BLAS threads, BLAS may split the
+dense product's rows between threads at a row that is not a multiple of 64,
+and the last bits can differ.
 
 ``one_blas_thread`` pins every loaded OpenBLAS to one thread while a run is
 inside it. A run makes thousands of small dense solves and products (n in the
@@ -50,26 +57,35 @@ from contextlib import contextmanager
 
 import numpy as np
 
-# Query rows of the basis that predict_batch holds at once: a block against n
-# centres takes BLOCK_ROWS * n doubles. A multiple of the row groups that
-# BLAS's matrix-vector kernels work in, so that on one BLAS thread a blocked
-# product rounds as one product over all rows does.
-BLOCK_ROWS = 1024
+# Entries of the basis matrix that predict_batch holds at once (1 MiB of
+# doubles, so that a block and its factors stay in a 2 MiB L2 cache): a block
+# against n centres takes as many query rows as fit, rounded down to a
+# multiple of 64 and at least 64 (see row_blocks). Of 2^14 to 2^19 entries,
+# 2^17 predicted 100 000 points fastest on a 2 MiB-L2 Xeon, by 12% over 2^16.
+BASIS_CELLS = 2**17
 # Entries that a distance kernel holds at once (512 KiB of doubles): the
 # product matrix of min_dists takes as many query rows per block as fit, and
-# the maximin design as many pairs of points, at least one.
+# the maximin design as many pairs of points, at least one. min_dists also
+# holds a mask and a band per block and reads its product three times, and
+# was 10-25% slower at 2^17 entries than here.
 DIST_CELLS = 2**16
 
 
-def row_blocks(n_rows: int) -> list:
-    """Slices that cover ``range(n_rows)`` in order, BLOCK_ROWS rows each.
+def row_blocks(n_rows: int, n_cols: int) -> list:
+    """Slices that cover ``range(n_rows)`` in order, for a matrix of
+    ``n_cols`` columns: each block takes as many rows as keep it within
+    BASIS_CELLS entries, rounded down to a multiple of 64, and at least 64.
 
-    A one-row remainder joins the block before it: numpy computes a one-row
-    matrix-vector product with a dot kernel, which rounds differently from
-    the matrix-vector kernel that the dense product uses for that row.
+    A multiple of 64 rows is a multiple of the row groups that BLAS's
+    matrix-vector kernels work in, so that on one BLAS thread a blocked
+    product rounds as one product over all rows does. A one-row remainder
+    joins the block before it: numpy computes a one-row matrix-vector product
+    with a dot kernel, which rounds differently from the matrix-vector kernel
+    that the dense product uses for that row.
     """
-    starts = list(range(0, n_rows, BLOCK_ROWS))
-    if n_rows > 1 and n_rows % BLOCK_ROWS == 1:
+    size = max(64, BASIS_CELLS // max(n_cols, 1) // 64 * 64)
+    starts = list(range(0, n_rows, size))
+    if n_rows > 1 and n_rows % size == 1:
         starts.pop()
     bounds = starts + [n_rows]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
@@ -165,26 +181,40 @@ def update_min_dists(current, points, new_ref) -> np.ndarray:
     return np.minimum(current, np.sqrt(d, out=d))
 
 
-def multiquadric_matrix(a, b) -> np.ndarray:
-    """Matrix of sqrt(1 + ||a_i - b_j||^2) between two stacks of points.
-
-    With both stacks shifted by the unit cube's centre, P = [a, ||a||^2 + 1,
-    1] and Q = [-2 b, 1, ||b||^2] give P Q^T = 1 + ||a_i - b_j||^2. Each entry
-    is clamped to at least 1, which rounding can undercut, and square-rooted
-    in place, so a call allocates the result and the two thin factors.
-    """
-    a, b = _c2d(a), _c2d(b)
-    d = a.shape[1]
-    p = np.empty((a.shape[0], d + 2))
-    pa = np.subtract(a, 0.5, out=p[:, :d])
-    p[:, d] = np.einsum("ij,ij->i", pa, pa) + 1.0
-    p[:, d + 1] = 1.0
+def multiquadric_factor(b) -> np.ndarray:
+    """The centres' factor Q = [-2 b, 1, ||b||^2] of ``multiquadric_matrix``,
+    with ``b`` shifted by the unit cube's centre; shape (n, d + 2)."""
+    b = _c2d(b)
+    d = b.shape[1]
     q = np.empty((b.shape[0], d + 2))
     qb = np.subtract(b, 0.5, out=q[:, :d])
     q[:, d + 1] = np.einsum("ij,ij->i", qb, qb)
     qb *= -2.0
     q[:, d] = 1.0
-    out = p @ q.T
+    return q
+
+
+def multiquadric_matrix(a, b=None, *, q=None, p=None, out=None) -> np.ndarray:
+    """Matrix of sqrt(1 + ||a_i - b_j||^2) between two stacks of points.
+
+    With both stacks shifted by the unit cube's centre, P = [a, ||a||^2 + 1,
+    1] and Q = [-2 b, 1, ||b||^2] give P Q^T = 1 + ||a_i - b_j||^2. Each entry
+    is clamped to at least 1, which rounding can undercut, and square-rooted
+    in place. A caller that evaluates many stacks against the same centres
+    passes their factor ``q = multiquadric_factor(b)`` instead of ``b``, and
+    buffers for P, shape (k, d + 2), and the result, shape (k, n), for ``a``
+    of k rows; what it does not pass is allocated.
+    """
+    a = _c2d(a)
+    if q is None:
+        q = multiquadric_factor(b)
+    k, d = a.shape
+    if p is None:
+        p = np.empty((k, d + 2))
+    pa = np.subtract(a, 0.5, out=p[:, :d])
+    p[:, d] = np.einsum("ij,ij->i", pa, pa) + 1.0
+    p[:, d + 1] = 1.0
+    out = np.matmul(p, q.T, out=out)
     np.maximum(out, 1.0, out=out)
     return np.sqrt(out, out=out)
 

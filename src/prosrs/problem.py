@@ -47,8 +47,14 @@ class BoxDomain:
             raise ValueError("lower and upper must be 1-D arrays of equal length")
         if lo.size < 1:
             raise ValueError("domain must have at least one dimension")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError("bounds must be finite")
         if not np.all(lo < hi):
             raise ValueError("every dimension must have strictly positive length")
+        with np.errstate(over="ignore"):
+            sides = hi - lo
+        if not np.all(np.isfinite(sides)):
+            raise ValueError("every side length must be finite")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -73,20 +79,32 @@ class BoxDomain:
     def contains_box(self, other: "BoxDomain") -> bool:
         return bool(np.all(other.lower >= self.lower) and np.all(other.upper <= self.upper))
 
-    def to_unit(self, x) -> np.ndarray:
-        """Affine map of a point (or row-stacked points) onto the unit cube."""
-        return (np.asarray(x, dtype=float) - self.lower) / self.side_lengths
+    def to_unit(self, x, out=None) -> np.ndarray:
+        """Affine map of a point (or row-stacked points) onto the unit cube,
+        into ``out`` if given."""
+        u = np.subtract(np.asarray(x, dtype=float), self.lower, out=out)
+        u /= self.side_lengths
+        return u
 
     def from_unit(self, u) -> np.ndarray:
         return self.lower + np.asarray(u, dtype=float) * self.side_lengths
 
-    def sample_uniform(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``n`` points uniformly from the box, shape (n, d)."""
-        return rng.uniform(self.lower, self.upper, size=(n, self.dim))
+    def sample_uniform(self, n: int, rng: np.random.Generator, out=None) -> np.ndarray:
+        """Draw ``n`` points uniformly from the box, shape (n, d), into ``out``
+        if given.
+
+        Each point is lower + side * u from the generator's doubles u in row
+        order, the arithmetic and draws of ``rng.uniform(lower, upper)``.
+        """
+        x = rng.random((n, self.dim), out=out)
+        x *= self.side_lengths
+        x += self.lower
+        return x
 
 
-def clip_to_domain(x, domain: BoxDomain) -> np.ndarray:
-    """Componentwise clamp of ``x`` into the box.
+def clip_to_domain(x, domain: BoxDomain, out=None) -> np.ndarray:
+    """Componentwise clamp of ``x`` into the box, into ``out`` if given (which
+    may be ``x`` itself).
 
     For a box this is the nearest domain point in Euclidean distance.
     Accepts a single point (d,) or a stack (n, d).
@@ -96,7 +114,7 @@ def clip_to_domain(x, domain: BoxDomain) -> np.ndarray:
         raise ValueError(
             f"point dimension {x.shape[-1]} does not match domain dimension {domain.dim}"
         )
-    return np.clip(x, domain.lower, domain.upper)
+    return np.clip(x, domain.lower, domain.upper, out=out)
 
 
 @dataclass(frozen=True)

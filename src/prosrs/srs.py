@@ -69,20 +69,21 @@ def generate_candidates(
     """Draw ``t`` candidates in ``omega`` as a (t, d) array: first a Type I
     fraction of floor(10p)/10 uniform over the domain, then Type II Gaussian
     perturbations of the surrogate-best data point with per-dimension
-    standard deviation sigma * side_length, clamped back into the domain."""
+    standard deviation sigma * side_length, clamped back into the domain.
+    Both parts are drawn into one array, in place."""
     if t < 1:
         raise ValueError("t must be >= 1")
     n_uniform = int(np.floor(np.floor(10.0 * state.p) / 10.0 * t + 0.5))
-    n_gauss = t - n_uniform
 
-    uniform_pts = omega.sample_uniform(n_uniform, rng)
+    pts = np.empty((t, omega.dim))
+    omega.sample_uniform(n_uniform, rng, out=pts[:n_uniform])
 
     x_star = data.X[best_fit_index(data, model)]
-    spread = state.sigma * omega.side_lengths
-    gauss_pts = x_star + rng.normal(0.0, 1.0, size=(n_gauss, omega.dim)) * spread
-    gauss_pts = clip_to_domain(gauss_pts, omega)
-
-    return np.vstack([uniform_pts, gauss_pts])
+    gauss = rng.standard_normal(out=pts[n_uniform:])
+    gauss *= state.sigma * omega.side_lengths
+    gauss += x_star
+    clip_to_domain(gauss, omega, out=gauss)
+    return pts
 
 
 def select_batch(points, model: RbfSurrogate, evaluated, pattern: WeightPattern) -> list:

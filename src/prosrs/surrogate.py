@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import multiquadric_matrix, row_blocks
+from ._kernels import multiquadric_factor, multiquadric_matrix, row_blocks
 from .problem import BoxDomain, EvalDataset
 
 # 1e-8 .. 1e2, log-spaced, 11 points.
@@ -119,23 +119,32 @@ def predict_batch(model: RbfSurrogate, X) -> np.ndarray:
     """Surrogate values, shape (k,), at ``k`` row-stacked points in original
     coordinates (a single point of shape (d,) counts as one row).
 
-    Rows are evaluated in fixed-size blocks, so the basis matrix held at any
-    time has at most ``_kernels.BLOCK_ROWS`` rows whatever the number of points.
-    Under ``_kernels.one_blas_thread``, as in every run and every model-error
-    trial, the result equals one dense ``multiquadric_matrix(u, centers) @
-    coefficients`` over all rows bit for bit; with more BLAS threads its last
-    bits can differ from that product, since BLAS splits the dense rows
-    between its threads where it likes.
+    Rows are evaluated in blocks of at most ``_kernels.BASIS_CELLS`` basis
+    entries (see ``_kernels.row_blocks``), so the memory held beside the
+    result is one block's basis matrix, row factor and unit-cube rows,
+    whatever the number of points; the centres' factor is built once per
+    call. Under ``_kernels.one_blas_thread``, as in every run and every
+    model-error trial, the result equals one dense ``multiquadric_matrix(u,
+    centers) @ coefficients`` over all rows bit for bit; with more BLAS
+    threads its last bits can differ from that product, since BLAS splits the
+    dense rows between its threads where it likes.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != model.norm_record.dim:
-        raise ValueError(
-            f"points have dimension {X.shape[1]}, expected {model.norm_record.dim}"
-        )
-    u = model.norm_record.to_unit(X)
-    out = np.empty(u.shape[0])
-    for block in row_blocks(u.shape[0]):
-        out[block] = multiquadric_matrix(u[block], model.centers) @ model.coefficients
+    norm, d = model.norm_record, model.norm_record.dim
+    if X.shape[1] != d:
+        raise ValueError(f"points have dimension {X.shape[1]}, expected {d}")
+    q = multiquadric_factor(model.centers)
+    n = q.shape[0]
+    blocks = row_blocks(X.shape[0], n)
+    rows = max((b.stop - b.start for b in blocks), default=0)
+    # Buffers shared by the blocks, each block's products written in place.
+    u_buf, p_buf, v_buf = np.empty((rows, d)), np.empty((rows, d + 2)), np.empty((rows, n))
+    out = np.empty(X.shape[0])
+    for block in blocks:
+        k = block.stop - block.start
+        u = norm.to_unit(X[block], out=u_buf[:k])
+        basis = multiquadric_matrix(u, q=q, p=p_buf[:k], out=v_buf[:k])
+        np.matmul(basis, model.coefficients, out=out[block])
     return out
 
 

@@ -57,12 +57,21 @@ class TestMultiquadricProduct:
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
+    def test_prebuilt_factor_and_buffers_give_the_same_bits(self):
+        rng = np.random.default_rng(7)
+        a, b = rng.uniform(size=(30, 5)), rng.uniform(size=(11, 5))
+        want = _kernels.multiquadric_matrix(a, b)
+        p, out = np.empty((30, 7)), np.empty((30, 11))
+        got = _kernels.multiquadric_matrix(a, q=_kernels.multiquadric_factor(b), p=p, out=out)
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("d", [2, 10])
     def test_update_from_nothing_equals_min_dists_bitwise(self, d):
         # A candidate's distance to a picked point rounds as its distance to
         # an evaluated point does.
         rng = np.random.default_rng(d)
-        t = 3 * _kernels.BLOCK_ROWS + 5
+        t = 3077
         pts, ref = rng.uniform(size=(t, d)), rng.uniform(size=d)
         np.testing.assert_array_equal(
             _kernels.update_min_dists(np.full(t, np.inf), pts, ref),
@@ -70,12 +79,27 @@ class TestMultiquadricProduct:
         )
 
 
+@pytest.mark.parametrize("cols", [1, 37, 400, 2049])
+@pytest.mark.parametrize("rows", [0, 1, 2, 64, 65, 129, 40_001])
+def test_row_blocks_follow_the_cell_budget(rows, cols):
+    blocks = _kernels.row_blocks(rows, cols)
+    size = max(64, _kernels.BASIS_CELLS // cols // 64 * 64)
+    assert size % 64 == 0 and (size == 64 or size * cols <= _kernels.BASIS_CELLS)
+    # In order and covering every row, each block of the budget's row count
+    # except the last, which holds the rest, a one-row rest joining it.
+    assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(rows))
+    lengths = [b.stop - b.start for b in blocks]
+    assert all(n == size for n in lengths[:-1])
+    if rows:
+        assert 1 <= lengths[-1] <= size or (lengths[-1] == size + 1 and rows > 1)
+        assert lengths[-1] > 1 or rows == 1
+
+
 class TestNumpyMinDistsBlocks:
-    B = _kernels.BLOCK_ROWS
     # Rows of one min_dists block against 53 refs.
     S = _kernels.DIST_CELLS // 53
 
-    @pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 3 * B + 7, S - 1, S, S + 1])
+    @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 3079, S - 1, S, S + 1])
     def test_matches_dense_min_bitwise(self, rows):
         rng = np.random.default_rng(rows)
         pts, refs = rng.normal(size=(rows, 7)), rng.normal(size=(53, 7))

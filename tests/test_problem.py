@@ -26,6 +26,29 @@ class TestBoxDomain:
         with pytest.raises(ValueError):
             BoxDomain(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "lower,upper",
+        [([-np.inf, 0.0], [np.inf, 1.0]), ([0.0, 0.0], [1.0, np.inf]), ([0.0, np.nan], [1.0, 1.0])],
+    )
+    def test_rejects_non_finite_bounds(self, lower, upper):
+        with pytest.raises(ValueError, match="finite"):
+            BoxDomain(np.array(lower), np.array(upper))
+
+    def test_rejects_overflowing_side_lengths(self):
+        # Each bound is finite, but upper - lower overflows to inf.
+        with pytest.raises(ValueError, match="side length"):
+            BoxDomain(np.array([-1e308, 0.0]), np.array([1e308, 1.0]))
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 1000])
+    def test_sample_uniform_equals_generator_uniform_bitwise(self, n):
+        dom = BoxDomain(np.array([-5.0, 2.0, 0.1]), np.array([5.0, 4.0, 0.2]))
+        want = np.random.default_rng(n).uniform(dom.lower, dom.upper, size=(n, 3))
+        got = dom.sample_uniform(n, np.random.default_rng(n))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        out = np.empty((n, 3))
+        assert dom.sample_uniform(n, np.random.default_rng(n), out=out) is out
+        assert out.tobytes() == want.tobytes()
+
     def test_side_lengths(self):
         dom = BoxDomain(np.array([-3.0, -2.0]), np.array([3.0, 2.0]))
         assert dom.dim == 2

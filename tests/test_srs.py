@@ -114,6 +114,27 @@ class TestGenerateCandidates:
         )
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("d", [2, 10])
+    @pytest.mark.parametrize("p", [1.0, 0.35, 0.05])
+    def test_equals_separate_draws_bitwise(self, d, p):
+        # The pool as separate arrays: rng.uniform over the box, then x* +
+        # rng.normal(0, 1) * spread clipped into the box, stacked.
+        dom = BoxDomain(np.linspace(-3.0, 0.0, d), np.linspace(1.0, 7.0, d))
+        rng = np.random.default_rng(d)
+        X = dom.sample_uniform(8, rng)
+        data = EvalDataset(X, rng.normal(size=8))
+        model = RbfSurrogate(dom.to_unit(X), rng.normal(size=8), 0.0, 0.0, dom)
+        state, t = ExploitState(0.0, p, 0.3), 100 * d
+        x_star = X[best_fit_index(data, model)]
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            n1 = int(np.floor(np.floor(10.0 * p) / 10.0 * t + 0.5))
+            uniform = rng.uniform(dom.lower, dom.upper, size=(n1, d))
+            gauss = x_star + rng.normal(0.0, 1.0, size=(t - n1, d)) * (0.3 * dom.side_lengths)
+            want = np.vstack([uniform, np.clip(gauss, dom.lower, dom.upper)])
+            got = generate_candidates(data, dom, state, model, t, np.random.default_rng(seed))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 class TestSelectBatch:
     def test_weight_one_picks_surrogate_minimum(self):

@@ -89,11 +89,7 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict_batch(m, np.array([0.4, 0.2]))
 
-    @pytest.mark.parametrize(
-        "rows",
-        [1, _kernels.BLOCK_ROWS - 1, _kernels.BLOCK_ROWS, _kernels.BLOCK_ROWS + 1,
-         3 * _kernels.BLOCK_ROWS + 7],
-    )
+    @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 3079])
     def test_blocked_rows_match_dense_product_bitwise(self, rows):
         rng = np.random.default_rng(rows)
         domain = BoxDomain(np.array([-2.0, 0.0, 1.0]), np.array([3.0, 0.5, 9.0]))
@@ -109,7 +105,8 @@ class TestPredict:
     def test_blocked_rows_match_dense_product_under_one_blas_thread(self, rows):
         # The contract every run and model-error trial relies on. On two BLAS
         # threads the dense matrix-vector product splits these rows at a row
-        # that is not a multiple of BLOCK_ROWS, and the last bits can differ.
+        # that is not a multiple of the block's rows, and the last bits can
+        # differ.
         rng = np.random.default_rng(rows)
         m = RbfSurrogate(rng.uniform(size=(400, 10)), rng.normal(size=400), 0.0, 0.0, unit_box(10))
         X = rng.uniform(size=(rows, 10))
@@ -117,8 +114,25 @@ class TestPredict:
             want = _kernels.multiquadric_matrix(X, m.centers) @ m.coefficients
             np.testing.assert_array_equal(predict_batch(m, X), want)
 
+    @pytest.mark.parametrize("n", [12, 37, 400])
+    @pytest.mark.parametrize("offset", ["B-1", "B", "B+1", "3B+1"])
+    def test_blocked_rows_match_dense_product_at_block_boundaries(self, n, offset):
+        # B is the row count of one block against n centres.
+        B = _kernels.row_blocks(10**6, n)[0].stop
+        rows = {"B-1": B - 1, "B": B, "B+1": B + 1, "3B+1": 3 * B + 1}[offset]
+        rng = np.random.default_rng(n)
+        domain = BoxDomain(np.array([-2.0, 0.0, 1.0, -1e3]), np.array([3.0, 0.5, 9.0, 1e3]))
+        m = RbfSurrogate(rng.uniform(size=(n, 4)), rng.normal(size=n), 0.0, 0.0, domain)
+        X = domain.sample_uniform(rows, rng)
+        with _kernels.one_blas_thread():
+            want = _kernels.multiquadric_matrix(domain.to_unit(X), m.centers) @ m.coefficients
+            got = predict_batch(m, X)
+        assert got.tobytes() == want.tobytes()
+
     def test_peak_memory_does_not_grow_with_rows(self):
-        # A dense 100 000 x 400 basis matrix alone would take 305 MiB.
+        # A dense 100 000 x 400 basis matrix alone would take 305 MiB, and a
+        # unit-cube copy of all the points 7.6 MiB: prediction holds the result
+        # (0.8 MiB) and one block's buffers (about 1 MiB).
         rng = np.random.default_rng(0)
         m = RbfSurrogate(rng.uniform(size=(400, 10)), rng.normal(size=400), 0.0, 0.0, unit_box(10))
         X = rng.uniform(size=(100_000, 10))
@@ -128,7 +142,7 @@ class TestPredict:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40 * 2**20
+        assert peak < 4 * 2**20
 
 
 class TestFit:
