@@ -4,7 +4,7 @@
 one shorter run per benchmark problem, the event, node-id and zoom-level
 sequences and the exact ``repr`` of every proposed point and response; a
 digest of the first design of every problem at several batch sizes over ten
-seeds; and the relative L2 error of two model-error trials. A refactor that claims to keep behaviour must keep this file
+seeds; and the relative L2 error of three model-error trials. A refactor that claims to keep behaviour must keep this file
 byte-identical; a change that alters the numbers on purpose rewrites it with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -42,10 +42,15 @@ RUNS = (
     ("GoldsteinPrice2", 2, {"c_fail": 1, "r_resolution": 0.1, "beta_init": 0.5, "beta_min": 0.25}),
     ("Schaffer2", 2, {"c_fail": 1, "r_resolution": 0.1, "beta_init": 0.5, "beta_min": 0.25}),
 )
-# (problem, n, seed, repeat) of cli.model_error_trial; n_mc spans several
-# prediction blocks.
-TRIALS = (("Ackley10", 50, 0, 0), ("Hartmann6", 100, 0, 1))
-TRIAL_N_MC = 5000
+# (problem, n, seed, repeat, n_mc) of cli.model_error_trial. 5000 Monte-Carlo
+# points span several prediction blocks; 66 472 at d = 6 span three blocks of
+# _kernels.row_blocks(n_mc, 6) (21 824 rows, 2^17 coordinates each) and a
+# 1000-row remainder.
+TRIALS = (
+    ("Ackley10", 50, 0, 0, 5000),
+    ("Hartmann6", 100, 0, 1, 5000),
+    ("Hartmann6", 400, 0, 0, 66_472),
+)
 # The first design of a run, latin_hypercube_maximin(m_doe, domain,
 # derive_streams(seed)["doe"]), of every problem at each of these n_par (m_doe
 # 3, 4, 4 and 12) over these seeds, digested per (problem, n_par): a maximin
@@ -99,9 +104,9 @@ def fingerprint() -> dict:
             )
     trials = {
         f"{name}/n{n}/seed{seed}/rep{rep}": repr(
-            cli.model_error_trial(prosrs.make_benchmark(name), n, seed, rep, TRIAL_N_MC)
+            cli.model_error_trial(prosrs.make_benchmark(name), n, seed, rep, n_mc)
         )
-        for name, n, seed, rep in TRIALS
+        for name, n, seed, rep, n_mc in TRIALS
     }
     n_par, iterations, seed = SHORT_RUN
     short_runs = {
