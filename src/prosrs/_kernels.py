@@ -42,6 +42,11 @@ groups that BLAS's matrix-vector kernels work in. With more BLAS threads, BLAS m
 dense product's rows between threads at a row that is not a multiple of 64,
 and the last bits can differ.
 
+``relative_l2_error`` splits its Monte-Carlo sample by the same rule, into
+chunks of 8192 rows (see ``surrogate.MC_VALUES_PER_POINT``): each chunk
+starts at a multiple of 64 rows, so ``predict_batch``'s blocks within it do
+too, and the chunked error equals one pass over the whole sample bit for bit.
+
 ``one_blas_thread`` pins every loaded OpenBLAS to one thread while a run is
 inside it. A run makes thousands of small dense solves and products (n in the
 hundreds at most), for which a second BLAS thread costs CPU without saving

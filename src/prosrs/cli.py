@@ -343,8 +343,11 @@ def model_error_trial(
 
     Draws an n-point Latin hypercube design, evaluates it with the problem's
     noise, fits the GCV-penalized model with weighting disabled, and returns
-    the Monte-Carlo relative L2 error against the true mean. OpenBLAS runs
-    on one thread until the call returns or raises.
+    the Monte-Carlo relative L2 error against the true mean over ``n_mc``
+    uniform points, scored in chunks of rows (see ``relative_l2_error``), so
+    that memory grows by 16 bytes a point beyond one chunk. OpenBLAS runs on
+    one thread until the call returns or raises, which makes the chunked
+    error equal that of one pass over the whole sample bit for bit.
     """
     name_key = zlib.crc32(problem.name.encode())
     seq = np.random.SeedSequence([base_seed, name_key, n, repeat])

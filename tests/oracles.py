@@ -66,3 +66,15 @@ def latin_hypercube_maximin_loop(m, domain, rng, n_restarts=100):
         if value > best_value:
             best, best_value = points, value
     return best
+
+
+def relative_l2_error_dense(model, true_mean, domain, n_mc, rng):
+    """The Monte-Carlo relative L2 error in one pass: the whole (n_mc, d)
+    sample drawn at once, predicted at once and handed to ``true_mean`` in one
+    call, both norms taken of the values scaled by the same power of two."""
+    X = domain.sample_uniform(n_mc, rng)
+    g = predict_batch(model, X)
+    f = np.asarray(true_mean(X), dtype=float)
+    k = int(np.frexp(max(np.max(np.abs(f)), np.max(np.abs(g))))[1])
+    f, g = np.ldexp(f, -k), np.ldexp(g, -k)
+    return float(np.sqrt(np.mean((g - f) ** 2)) / np.sqrt(np.mean(f**2)))

@@ -43,9 +43,8 @@ RUNS = (
     ("Schaffer2", 2, {"c_fail": 1, "r_resolution": 0.1, "beta_init": 0.5, "beta_min": 0.25}),
 )
 # (problem, n, seed, repeat, n_mc) of cli.model_error_trial. 5000 Monte-Carlo
-# points span several prediction blocks; 66 472 at d = 6 span three blocks of
-# _kernels.row_blocks(n_mc, 6) (21 824 rows, 2^17 coordinates each) and a
-# 1000-row remainder.
+# points span several prediction blocks; 66 472 span eight of
+# relative_l2_error's 8192-row chunks and a 936-row remainder.
 TRIALS = (
     ("Ackley10", 50, 0, 0, 5000),
     ("Hartmann6", 100, 0, 1, 5000),

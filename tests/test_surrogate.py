@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from prosrs import _kernels
+from prosrs import BENCHMARK_NAMES, _kernels, make_benchmark
 from prosrs.problem import BoxDomain, EvalDataset
 from prosrs.surrogate import (
     DEFAULT_LAMBDA_GRID,
+    MC_VALUES_PER_POINT,
     RbfSurrogate,
     fit_rbf,
     normalized_responses,
@@ -16,7 +17,7 @@ from prosrs.surrogate import (
     response_weights,
 )
 
-from oracles import fixed_lambda_model, gcv_scores, training_loss
+from oracles import fixed_lambda_model, gcv_scores, relative_l2_error_dense, training_loss
 
 
 def unit_box(d=1):
@@ -340,3 +341,62 @@ class TestRelativeL2Error:
         for true_mean in (lambda x: 3.0, lambda X: np.full((len(X), 1), 3.0)):
             with pytest.raises(ValueError, match="shape"):
                 relative_l2_error(model, true_mean, unit_box(2), 100, np.random.default_rng(4))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_true_mean(self, bad):
+        # One bad value in the third chunk of the sample, at row 2C + 5.
+        model = self.fitted()
+        C = _kernels.row_blocks(10**7, MC_VALUES_PER_POINT)[0].stop
+        seen = []
+
+        def true_mean(X):
+            values = np.ones(len(X))
+            start = sum(len(x) for x in seen)
+            if start <= 2 * C + 5 < start + len(X):
+                values[2 * C + 5 - start] = bad
+            seen.append(X.copy())
+            return values
+
+        with pytest.raises(ValueError, match="non-finite value") as info:
+            relative_l2_error(model, true_mean, unit_box(2), 3 * C, np.random.default_rng(7))
+        point = np.concatenate(seen)[2 * C + 5]
+        assert f"{bad} at point {point}" in str(info.value)
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_chunked_sample_equals_one_pass_bitwise(self, name):
+        # C is one chunk's row count: n_mc of 1, C - 1, C, C + 1 (the one-row
+        # remainder joins the chunk before it) and 3C + 1 points score as one
+        # draw, prediction and call of all.
+        problem = make_benchmark(name)
+        dom = problem.domain
+        C = _kernels.row_blocks(10**7, MC_VALUES_PER_POINT)[0].stop
+        for n in (10, 400):
+            X = dom.sample_uniform(n, np.random.default_rng(n))
+            model = fit_rbf(EvalDataset(X, problem.true_mean(X)), dom, 0.0)
+            for n_mc in (1, C - 1, C, C + 1, 3 * C + 1):
+                with _kernels.one_blas_thread():
+                    got = relative_l2_error(
+                        model, problem.true_mean, dom, n_mc, np.random.default_rng(n_mc)
+                    )
+                    want = relative_l2_error_dense(
+                        model, problem.true_mean, dom, n_mc, np.random.default_rng(n_mc)
+                    )
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (n, n_mc)
+
+    def test_peak_memory_does_not_grow_with_samples(self):
+        # In one pass, Hartmann6 holds three (100 000, 4, 6) temporaries (55
+        # MiB) beside the 4.6 MiB sample; a chunk of 8192 rows holds 4.5 MiB
+        # of them, beside the two 0.8 MiB value arrays and prediction's 1 MiB
+        # block.
+        problem = make_benchmark("Hartmann6")
+        X = problem.domain.sample_uniform(400, np.random.default_rng(0))
+        model = fit_rbf(EvalDataset(X, problem.true_mean(X)), problem.domain, 0.0)
+        tracemalloc.start()
+        try:
+            relative_l2_error(
+                model, problem.true_mean, problem.domain, 100_000, np.random.default_rng(1)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
