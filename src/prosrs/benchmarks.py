@@ -5,14 +5,18 @@ each wrapped with additive Gaussian noise of a fixed standard deviation. The
 trailing number in a problem name is its dimension. The deterministic part is
 exposed as ``true_mean`` for scoring against the noise-free landscape.
 
-All function implementations accept a single point (d,) or a row-stacked
-batch (n, d) and are vectorized over the batch. Noise has one path:
-``NoisyBatchEvaluator`` draws it from one seed, and ``benchmark_objective``
-evaluates through that evaluator, so both give the same run for a seed.
+Each landscape body maps a row-stacked batch (n, d) to its n values; the
+``_landscape`` decorator lets it also take a single point (d,), which gives a
+float, and checks the dimension of a fixed-d landscape. The problems are one
+table, ``_TABLE``; ``make_benchmark`` builds a problem from its row. Noise has
+one path: ``NoisyBatchEvaluator`` draws it from one seed, and
+``benchmark_objective`` evaluates through that evaluator, so both give the
+same run for a seed.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 
@@ -28,38 +32,50 @@ def _batch(x, d=None):
     return X, np.asarray(x).ndim == 1
 
 
-def _ret(values, scalar):
-    return float(values[0]) if scalar else values
+def _landscape(d=None):
+    """Let a batch landscape take one point (d,) too, returning a float.
+
+    A given ``d`` is the only dimension the landscape accepts.
+    """
+
+    def wrap(f):
+        @functools.wraps(f)
+        def landscape(x):
+            X, scalar = _batch(x, d)
+            values = f(X)
+            return float(values[0]) if scalar else values
+
+        return landscape
+
+    return wrap
 
 
-def ackley(x):
+@_landscape()
+def ackley(X):
     """Ackley function; global minimum 0 at the origin."""
-    X, scalar = _batch(x)
     d = X.shape[1]
     s1 = np.sqrt(np.sum(X**2, axis=1) / d)
     s2 = np.sum(np.cos(2.0 * np.pi * X), axis=1) / d
-    return _ret(-20.0 * np.exp(-0.2 * s1) - np.exp(s2) + 20.0 + np.e, scalar)
+    return -20.0 * np.exp(-0.2 * s1) - np.exp(s2) + 20.0 + np.e
 
 
-def alpine(x):
+@_landscape()
+def alpine(X):
     """Alpine function sum |x sin x + 0.1 x|; global minimum 0 at the origin."""
-    X, scalar = _batch(x)
-    return _ret(np.sum(np.abs(X * np.sin(X) + 0.1 * X), axis=1), scalar)
+    return np.sum(np.abs(X * np.sin(X) + 0.1 * X), axis=1)
 
 
-def griewank(x):
+@_landscape()
+def griewank(X):
     """Griewank function; global minimum 0 at the origin."""
-    X, scalar = _batch(x)
     d = X.shape[1]
     i = np.sqrt(np.arange(1, d + 1, dtype=float))
-    return _ret(
-        1.0 + np.sum(X**2, axis=1) / 4000.0 - np.prod(np.cos(X / i), axis=1), scalar
-    )
+    return 1.0 + np.sum(X**2, axis=1) / 4000.0 - np.prod(np.cos(X / i), axis=1)
 
 
-def levy(x):
+@_landscape()
+def levy(X):
     """Levy function; global minimum 0 at (1, ..., 1)."""
-    X, scalar = _batch(x)
     w = 1.0 + (X - 1.0) / 4.0
     head = np.sin(np.pi * w[:, 0]) ** 2
     mid = np.sum(
@@ -67,47 +83,46 @@ def levy(x):
         axis=1,
     )
     tail = (w[:, -1] - 1.0) ** 2 * (1.0 + np.sin(2.0 * np.pi * w[:, -1]) ** 2)
-    return _ret(head + mid + tail, scalar)
+    return head + mid + tail
 
 
-def sum_power(x):
+@_landscape()
+def sum_power(X):
     """Sum of increasing powers sum |x_i|^(i+1); global minimum 0 at the origin."""
-    X, scalar = _batch(x)
     d = X.shape[1]
     exps = np.arange(2, d + 2, dtype=float)
-    return _ret(np.sum(np.abs(X) ** exps, axis=1), scalar)
+    return np.sum(np.abs(X) ** exps, axis=1)
 
 
-def six_hump_camel(x):
+@_landscape(2)
+def six_hump_camel(X):
     """Six-hump camel function; global minimum about -1.0316 (two minimizers)."""
-    X, scalar = _batch(x, 2)
     x1, x2 = X[:, 0], X[:, 1]
-    return _ret(
+    return (
         (4.0 - 2.1 * x1**2 + x1**4 / 3.0) * x1**2
         + x1 * x2
-        + (-4.0 + 4.0 * x2**2) * x2**2,
-        scalar,
+        + (-4.0 + 4.0 * x2**2) * x2**2
     )
 
 
-def schaffer_n2(x):
+@_landscape(2)
+def schaffer_n2(X):
     """Schaffer function N.2; global minimum 0 at the origin."""
-    X, scalar = _batch(x, 2)
     x1, x2 = X[:, 0], X[:, 1]
     ssq = x1**2 + x2**2
-    return _ret(0.5 + (np.sin(x1**2 - x2**2) ** 2 - 0.5) / (1.0 + 0.001 * ssq) ** 2, scalar)
+    return 0.5 + (np.sin(x1**2 - x2**2) ** 2 - 0.5) / (1.0 + 0.001 * ssq) ** 2
 
 
-def dropwave(x):
+@_landscape(2)
+def dropwave(X):
     """Drop-wave function; global minimum -1 at the origin."""
-    X, scalar = _batch(x, 2)
     ssq = np.sum(X**2, axis=1)
-    return _ret(-(1.0 + np.cos(12.0 * np.sqrt(ssq))) / (0.5 * ssq + 2.0), scalar)
+    return -(1.0 + np.cos(12.0 * np.sqrt(ssq))) / (0.5 * ssq + 2.0)
 
 
-def goldstein_price(x):
+@_landscape(2)
+def goldstein_price(X):
     """Goldstein-Price function; global minimum 3 at (0, -1)."""
-    X, scalar = _batch(x, 2)
     x1, x2 = X[:, 0], X[:, 1]
     a = 1.0 + (x1 + x2 + 1.0) ** 2 * (
         19.0 - 14.0 * x1 + 3.0 * x1**2 - 14.0 * x2 + 6.0 * x1 * x2 + 3.0 * x2**2
@@ -115,14 +130,14 @@ def goldstein_price(x):
     b = 30.0 + (2.0 * x1 - 3.0 * x2) ** 2 * (
         18.0 - 32.0 * x1 + 12.0 * x1**2 + 48.0 * x2 - 36.0 * x1 * x2 + 27.0 * x2**2
     )
-    return _ret(a * b, scalar)
+    return a * b
 
 
-def rastrigin(x):
+@_landscape()
+def rastrigin(X):
     """Rastrigin function; global minimum 0 at the origin."""
-    X, scalar = _batch(x)
     d = X.shape[1]
-    return _ret(10.0 * d + np.sum(X**2 - 10.0 * np.cos(2.0 * np.pi * X), axis=1), scalar)
+    return 10.0 * d + np.sum(X**2 - 10.0 * np.cos(2.0 * np.pi * X), axis=1)
 
 
 _HARTMANN6_ALPHA = np.array([1.0, 1.2, 3.0, 3.2])
@@ -144,23 +159,23 @@ _HARTMANN6_P = np.array(
 )
 
 
-def hartmann6(x):
+@_landscape(6)
+def hartmann6(X):
     """Hartmann 6-D function; global minimum about -3.32237."""
-    X, scalar = _batch(x, 6)
     # inner[i, j] = sum_k A[j, k] * (x_i[k] - P[j, k])^2
     diff = X[:, None, :] - _HARTMANN6_P[None, :, :]
     inner = np.sum(_HARTMANN6_A[None, :, :] * diff**2, axis=2)
-    return _ret(-np.sum(_HARTMANN6_ALPHA * np.exp(-inner), axis=1), scalar)
+    return -np.sum(_HARTMANN6_ALPHA * np.exp(-inner), axis=1)
 
 
 _POWER_SUM_B = np.array([8.0, 18.0, 44.0, 114.0])
 
 
-def power_sum(x):
+@_landscape(4)
+def power_sum(X):
     """Power-sum function in 4-D; global minimum 0 at permutations of (1,2,2,3)."""
-    X, scalar = _batch(x, 4)
     powers = np.stack([np.sum(X ** (k + 1), axis=1) for k in range(4)], axis=1)
-    return _ret(np.sum((powers - _POWER_SUM_B) ** 2, axis=1), scalar)
+    return np.sum((powers - _POWER_SUM_B) ** 2, axis=1)
 
 
 @dataclass(frozen=True)
@@ -184,69 +199,45 @@ def _cube(lo, hi, d):
     return BoxDomain(np.full(d, float(lo)), np.full(d, float(hi)))
 
 
-_HARTMANN6_MINIMIZER = np.array(
-    [0.20168952, 0.15001069, 0.47687398, 0.27533243, 0.31165162, 0.65730054]
-)
-
-_REGISTRY = {
-    "Ackley10": lambda: BenchmarkProblem(
-        "Ackley10", 10, _cube(-32.768, 32.768, 10), 1.0, ackley, 0.0, np.zeros(10)
+# name: (true_mean, domain, noise_std, known_min_value, known_minimizer). A
+# domain is frozen, so every problem may share it; make_benchmark copies the
+# minimizer.
+_TABLE = {
+    "Ackley10": (ackley, _cube(-32.768, 32.768, 10), 1.0, 0.0, np.zeros(10)),
+    "Alpine10": (alpine, _cube(-10, 10, 10), 1.0, 0.0, np.zeros(10)),
+    "Griewank10": (griewank, _cube(-600, 600, 10), 2.0, 0.0, np.zeros(10)),
+    "Levy10": (levy, _cube(-10, 10, 10), 1.0, 0.0, np.ones(10)),
+    "SumPower10": (sum_power, _cube(-1, 1, 10), 0.05, 0.0, np.zeros(10)),
+    "SixHumpCamel2": (
+        six_hump_camel, BoxDomain(np.array([-3.0, -2.0]), np.array([3.0, 2.0])), 0.1,
+        -1.0316284534898774, None,  # two symmetric global minimizers
     ),
-    "Alpine10": lambda: BenchmarkProblem(
-        "Alpine10", 10, _cube(-10, 10, 10), 1.0, alpine, 0.0, np.zeros(10)
+    "Schaffer2": (schaffer_n2, _cube(-100, 100, 2), 0.02, 0.0, np.zeros(2)),
+    "Dropwave2": (dropwave, _cube(-5.12, 5.12, 2), 0.02, -1.0, np.zeros(2)),
+    "GoldsteinPrice2": (goldstein_price, _cube(-2, 2, 2), 2.0, 3.0, np.array([0.0, -1.0])),
+    "Rastrigin2": (rastrigin, _cube(-5.12, 5.12, 2), 0.5, 0.0, np.zeros(2)),
+    "Hartmann6": (
+        hartmann6, _cube(0, 1, 6), 0.05, -3.322368011415511,
+        np.array([0.20168952, 0.15001069, 0.47687398, 0.27533243, 0.31165162, 0.65730054]),
     ),
-    "Griewank10": lambda: BenchmarkProblem(
-        "Griewank10", 10, _cube(-600, 600, 10), 2.0, griewank, 0.0, np.zeros(10)
-    ),
-    "Levy10": lambda: BenchmarkProblem(
-        "Levy10", 10, _cube(-10, 10, 10), 1.0, levy, 0.0, np.ones(10)
-    ),
-    "SumPower10": lambda: BenchmarkProblem(
-        "SumPower10", 10, _cube(-1, 1, 10), 0.05, sum_power, 0.0, np.zeros(10)
-    ),
-    "SixHumpCamel2": lambda: BenchmarkProblem(
-        "SixHumpCamel2",
-        2,
-        BoxDomain(np.array([-3.0, -2.0]), np.array([3.0, 2.0])),
-        0.1,
-        six_hump_camel,
-        -1.0316284534898774,
-        None,  # two symmetric global minimizers
-    ),
-    "Schaffer2": lambda: BenchmarkProblem(
-        "Schaffer2", 2, _cube(-100, 100, 2), 0.02, schaffer_n2, 0.0, np.zeros(2)
-    ),
-    "Dropwave2": lambda: BenchmarkProblem(
-        "Dropwave2", 2, _cube(-5.12, 5.12, 2), 0.02, dropwave, -1.0, np.zeros(2)
-    ),
-    "GoldsteinPrice2": lambda: BenchmarkProblem(
-        "GoldsteinPrice2", 2, _cube(-2, 2, 2), 2.0, goldstein_price, 3.0,
-        np.array([0.0, -1.0]),
-    ),
-    "Rastrigin2": lambda: BenchmarkProblem(
-        "Rastrigin2", 2, _cube(-5.12, 5.12, 2), 0.5, rastrigin, 0.0, np.zeros(2)
-    ),
-    "Hartmann6": lambda: BenchmarkProblem(
-        "Hartmann6", 6, _cube(0, 1, 6), 0.05, hartmann6, -3.322368011415511,
-        _HARTMANN6_MINIMIZER,
-    ),
-    "PowerSum4": lambda: BenchmarkProblem(
-        "PowerSum4", 4, _cube(0, 4, 4), 1.0, power_sum, 0.0,
-        np.array([1.0, 2.0, 2.0, 3.0]),
-    ),
+    "PowerSum4": (power_sum, _cube(0, 4, 4), 1.0, 0.0, np.array([1.0, 2.0, 2.0, 3.0])),
 }
 
-BENCHMARK_NAMES = tuple(_REGISTRY)
+BENCHMARK_NAMES = tuple(_TABLE)
 
 
 def make_benchmark(name: str) -> BenchmarkProblem:
-    """Look up one of the named benchmark problems."""
+    """Build one of the named benchmark problems, with its own minimizer array."""
     try:
-        return _REGISTRY[name]()
+        true_mean, domain, noise_std, min_value, minimizer = _TABLE[name]
     except KeyError:
         raise ValueError(
             f"unknown benchmark {name!r}; valid names: {', '.join(BENCHMARK_NAMES)}"
         ) from None
+    return BenchmarkProblem(
+        name, domain.dim, domain, noise_std, true_mean, min_value,
+        None if minimizer is None else minimizer.copy(),
+    )
 
 
 class NoisyBatchEvaluator:

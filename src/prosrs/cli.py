@@ -21,10 +21,11 @@ every file in the order and with the bytes that ``--jobs 1`` writes. Each run
 holds OpenBLAS to one thread, so K workers use about K cores.
 
 ``SETTINGS`` (each setting's flag, type, default and help) and ``COMMANDS``
-(the settings each command reads) build both the parser and the config-file
-reader. A JSON config file may give any setting but the two timing switches,
-by name; commands that build a RunConfig also take a nested "config" object
-of run parameters (n_par, n_iterations, rho, s_init, ...). File values are
+(the settings each command reads) build the parser, the config-file reader
+and ``ExperimentSpec``, the resolved settings of one invocation. A JSON
+config file may give any setting but the two timing switches, by name;
+commands that build a RunConfig also take a nested "config" object of run
+parameters (n_par, n_iterations, rho, s_init, ...). File values are
 type-checked, never cast; an unread key is an error. Flags win over file
 values, and the "config" object over a top-level key. Exit codes: 0 success,
 2 configuration error, 3 evaluator failure (partial logs are flushed: the
@@ -43,7 +44,7 @@ import zlib
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
 
@@ -110,23 +111,9 @@ _COMMAND_DEFAULTS = {"bench-suite": {"real_timing": False}, "model-error": {"rep
 _KINDS = {int: "an integer", str: "a string", list: "a list of integers"}
 
 
-@dataclass
-class ExperimentSpec:
-    """Resolved settings for one CLI invocation: one field per SETTINGS entry."""
-
-    config_overrides: dict
-    problem: str | None
-    algo: str
-    n_par: int
-    n_iterations: int
-    repeats: int
-    jobs: int
-    seed: int
-    out: str
-    deterministic_timing: bool
-    real_timing: bool
-    n_values: list
-    n_mc: int
+# Resolved settings for one CLI invocation: the run-parameter overrides of the
+# config file's "config" block, then one field per SETTINGS entry.
+ExperimentSpec = namedtuple("ExperimentSpec", ("config_overrides", *SETTINGS))
 
 
 def _fmt(value) -> str:
@@ -146,6 +133,8 @@ def _load_problem(name: str, seed: int):
         obj = getattr(importlib.import_module(mod_name), attr)
         if isinstance(obj, Objective):
             return obj
+        if not callable(obj):
+            raise ValueError(f"plug-in {name!r} is neither an Objective nor a factory")
         made = obj(seed)
         if not isinstance(made, Objective):
             raise ValueError(f"plug-in {name!r} did not produce an Objective")
@@ -153,35 +142,13 @@ def _load_problem(name: str, seed: int):
     return make_benchmark(name)
 
 
-def _run_once(problem, spec: ExperimentSpec, seed: int):
-    """Run one repeat of the experiment and return its RunResult."""
-    if isinstance(problem, BenchmarkProblem):
-        objective = benchmark_objective(problem, seed)
-        evaluator = NoisyBatchEvaluator(problem, stream_seedseq(seed, "noise"))
-    else:
-        objective = problem
-        evaluator = serial_evaluator(objective)
-    config = default_config(
-        objective.dimension,
-        spec.n_par,
-        n_iterations=spec.n_iterations,
-        seed=seed,
-        **spec.config_overrides,
-    )
-    runner = run_prosrs if spec.algo == "prosrs" else run_random_search
-    return runner(objective, config, evaluator)
-
-
-def _objective_column(problem) -> str:
-    return "true_f_best" if isinstance(problem, BenchmarkProblem) else "noisy_y_best"
-
-
-def _run_rows(logs, problem, real_timing: bool):
-    """CSV rows for a run: one per logged batch. A benchmark's objective column
-    is the true mean of the best point so far, from one ``true_mean`` call."""
+def _run_rows(logs, true_mean, real_timing: bool):
+    """CSV rows for a run: one per logged batch. With a benchmark's
+    ``true_mean``, the objective column is the true mean of the best point so
+    far, from one call; otherwise it is the best noisy response."""
     xs, ys = best_trajectory(logs)
-    if isinstance(problem, BenchmarkProblem) and logs:
-        ys = problem.true_mean(xs)
+    if true_mean is not None and logs:
+        ys = true_mean(xs)
     return [
         [
             log.iteration,
@@ -233,18 +200,34 @@ def _aggregate_rows(per_run_rows):
 def _run_repeat(spec: ExperimentSpec, problem_name: str, seed: int):
     """Run one (problem, seed) repeat and return what its files hold.
 
+    A benchmark runs through its noisy batch evaluator, and its objective
+    column is the true mean of the best point so far; a plug-in runs through
+    a serial evaluator, and its objective column is the best noisy response.
+
     Returns ``(header, rows, summary, error)``. When the evaluator fails, the
     rows are the partial log, ``summary`` is None and ``error`` is the
     EvaluationError's message; otherwise ``error`` is None. A module-level
     function of plain results, so a worker process can run it.
     """
     problem = _load_problem(problem_name, seed)
-    header = [*RUN_CSV_COMMON, _objective_column(problem), *RUN_CSV_TAIL]
+    if isinstance(problem, BenchmarkProblem):
+        objective = benchmark_objective(problem, seed)
+        evaluator = NoisyBatchEvaluator(problem, stream_seedseq(seed, "noise"))
+        column, true_mean = "true_f_best", problem.true_mean
+    else:
+        objective, evaluator = problem, serial_evaluator(problem)
+        column, true_mean = "noisy_y_best", None
+    header = [*RUN_CSV_COMMON, column, *RUN_CSV_TAIL]
     real_timing = spec.real_timing and not spec.deterministic_timing
+    config = default_config(
+        objective.dimension, spec.n_par, n_iterations=spec.n_iterations, seed=seed,
+        **spec.config_overrides,
+    )
+    runner = run_prosrs if spec.algo == "prosrs" else run_random_search
     try:
-        result = _run_once(problem, spec, seed)
+        result = runner(objective, config, evaluator)
     except EvaluationError as exc:
-        return header, _run_rows(exc.logs, problem, real_timing), None, str(exc)
+        return header, _run_rows(exc.logs, true_mean, real_timing), None, str(exc)
     summary = {
         "problem": problem_name,
         "algo": spec.algo,
@@ -254,7 +237,7 @@ def _run_repeat(spec: ExperimentSpec, problem_name: str, seed: int):
         "n_evaluations": int(result.n_evaluations),
         "config": asdict(result.config_echo),
     }
-    return header, _run_rows(result.logs, problem, real_timing), summary, None
+    return header, _run_rows(result.logs, true_mean, real_timing), summary, None
 
 
 @contextmanager
@@ -292,7 +275,7 @@ def _optimize_into(spec: ExperimentSpec, problems) -> list:
     with _repeat_outputs(spec, [(problems[i][0], seed) for i, seed in tasks]) as outputs:
         for (i, seed), (header, rows, summary, error) in zip(tasks, outputs):
             name, out_dir = problems[i]
-            base = out_dir / f"{_slug(name)}_{spec.algo}_seed{seed}"
+            base = _run_stem(out_dir, name, spec, seed)
             _write_csv(base.with_suffix(".csv"), header, rows)
             if error is not None:
                 raise EvaluationError(error)
@@ -311,13 +294,23 @@ def _slug(name: str) -> str:
     return name.replace(":", "_").replace("/", "_").replace(".", "_")
 
 
+def _run_stem(out_dir: Path, name: str, spec: ExperimentSpec, seed: int) -> Path:
+    """A run's file path without its suffix: ``<slug>_<algo>_seed<seed>``."""
+    return out_dir / f"{_slug(name)}_{spec.algo}_seed{seed}"
+
+
+def _problem_names(spec: ExperimentSpec) -> list:
+    """The comma-separated ``--problem`` list, or every benchmark."""
+    return spec.problem.split(",") if spec.problem else list(BENCHMARK_NAMES)
+
+
 def cmd_optimize(spec: ExperimentSpec) -> int:
     _optimize_into(spec, [(spec.problem, Path(spec.out))])
     return EXIT_OK
 
 
 def cmd_bench_suite(spec: ExperimentSpec) -> int:
-    names = spec.problem.split(",") if spec.problem else list(BENCHMARK_NAMES)
+    names = _problem_names(spec)
     out_dir = Path(spec.out)
     per_problem = _optimize_into(spec, [(name, out_dir / _slug(name)) for name in names])
     summary_rows = []
@@ -363,9 +356,8 @@ def model_error_trial(
 
 
 def cmd_model_error(spec: ExperimentSpec) -> int:
-    names = spec.problem.split(",") if spec.problem else list(BENCHMARK_NAMES)
     rows = []
-    for name in names:
+    for name in _problem_names(spec):
         problem = make_benchmark(name)
         for n in spec.n_values:
             errs = [
@@ -396,7 +388,7 @@ def cost_ratio(algo_times) -> float:
 
 def cmd_cost_profile(spec: ExperimentSpec) -> int:
     header, rows, _, error = _run_repeat(spec, spec.problem, spec.seed)
-    base = Path(spec.out) / f"{_slug(spec.problem)}_{spec.algo}_seed{spec.seed}"
+    base = _run_stem(Path(spec.out), spec.problem, spec, spec.seed)
     _write_csv(base.with_suffix(".csv"), header, rows)
     if error is not None:
         raise EvaluationError(error)

@@ -222,8 +222,8 @@ class RunConfig:
             raise ValueError("n_par must be >= 1")
         if self.n_iterations < 0:
             raise ValueError("n_iterations must be >= 0")
-        if self.m_doe < 1:
-            raise ValueError("m_doe must be >= 1")
+        if self.m_doe < 2:
+            raise ValueError("m_doe must be >= 2: the first fit needs two points")
         if not isinstance(self.s_init, ExploitState):
             raise ValueError("s_init must be an ExploitState")
         for name in ("sigma_crit", "beta_init", "beta_min", "rho", "r_resolution"):

@@ -7,7 +7,13 @@ from prosrs.benchmarks import (
     BENCHMARK_NAMES,
     NoisyBatchEvaluator,
     benchmark_objective,
+    dropwave,
+    goldstein_price,
+    hartmann6,
     make_benchmark,
+    power_sum,
+    schaffer_n2,
+    six_hump_camel,
 )
 from prosrs.engine import run_prosrs
 from prosrs.problem import default_config, stream_seedseq
@@ -135,6 +141,31 @@ def test_batched_true_mean_equals_pointwise(name):
     batched = p.true_mean(X)
     assert batched.shape == (100,)
     assert batched.tolist() == [p.true_mean(x) for x in X]
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_NAMES))
+def test_each_problem_gets_its_own_minimizer(name):
+    p = make_benchmark(name)
+    if p.known_minimizer is None:
+        assert make_benchmark(name).known_minimizer is None
+        return
+    want = p.known_minimizer.copy()
+    p.known_minimizer[0] = 5.0
+    np.testing.assert_array_equal(make_benchmark(name).known_minimizer, want)
+
+
+@pytest.mark.parametrize(
+    "f, d",
+    [(six_hump_camel, 2), (schaffer_n2, 2), (dropwave, 2), (goldstein_price, 2),
+     (hartmann6, 6), (power_sum, 4)],
+    ids=lambda v: getattr(v, "__name__", str(v)),
+)
+def test_fixed_dimension_landscapes_reject_other_dimensions(f, d):
+    for other in (d - 1, d + 1):
+        with pytest.raises(ValueError, match=f"expected points of dimension {d}, got {other}"):
+            f(np.zeros(other))
+        with pytest.raises(ValueError, match=f"expected points of dimension {d}, got {other}"):
+            f(np.zeros((3, other)))
 
 
 class TestNoisyEval:

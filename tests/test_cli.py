@@ -113,6 +113,11 @@ class TestOptimize:
         assert run_cli("optimize", "--problem", "Nope", "--out", tmp_path) == 2
         assert "valid names" in capsys.readouterr().err
 
+    def test_plugin_that_is_not_callable_is_config_error(self, tmp_path, capsys):
+        assert run_cli("optimize", "--problem", "math:pi", "--out", tmp_path / "out") == 2
+        assert "math:pi" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_evaluator_failure_exit_code_and_partial_flush(self, tmp_path, capsys):
         code = run_cli(
             "optimize", "--problem", "plugin_objectives:broken",
@@ -150,6 +155,7 @@ class TestOptimize:
             ({"s_init": {"gamma": 0, "p": 1, "sigma": True}}, "sigma must be a number"),
             ({"s_init": {"gamma": "a", "p": 1, "sigma": 0.1}}, "gamma must be a number"),
             ({"s_init": {"gamma": 0, "p": None, "sigma": 0.1}}, "p must be a number"),
+            ({"m_doe": 1}, "m_doe"),
         ],
     )
     def test_bad_run_parameters_fail_before_evaluating(self, tmp_path, capsys, config, message):

@@ -200,6 +200,12 @@ class TestDefaultConfig:
         with pytest.raises(ValueError):
             default_config(2, 4, beta_min=0.5)  # above beta_init
 
+    def test_initial_design_must_allow_a_fit(self):
+        # The first surrogate fit needs two evaluated points.
+        with pytest.raises(ValueError, match="m_doe"):
+            default_config(2, 1, m_doe=1)
+        assert default_config(2, 1, m_doe=2).m_doe == 2
+
     def test_candidate_pool_must_fill_the_batch(self):
         # The pool holds n_candidates_per_dim * dim points, one pick per slot.
         with pytest.raises(ValueError, match="n_par"):
