@@ -7,8 +7,8 @@ Subcommands:
                      write per-run CSV logs, per-run JSON summaries, and an
                      aggregate mean/std curve.
 * ``bench-suite``  — ``optimize`` across a list of benchmarks (default: all),
-                     with timing columns written as 0.0 so outputs are
-                     byte-reproducible.
+                     with timing columns written as 0.0 unless ``--timing
+                     real``, so outputs are byte-reproducible.
 * ``model-error``  — the surrogate regression study: fit unweighted models on
                      Latin hypercube samples of varying size and report the
                      Monte-Carlo relative L2 error against the true mean.
@@ -21,9 +21,9 @@ every file in the order and with the bytes that ``--jobs 1`` writes. Each run
 holds OpenBLAS to one thread, so K workers use about K cores.
 
 ``SETTINGS`` (each setting's flag, type, default and help) and ``COMMANDS``
-(the settings each command reads) build the parser, the config-file reader
-and ``ExperimentSpec``, the resolved settings of one invocation. A JSON
-config file may give any setting but the two timing switches, by name;
+(the settings each command reads, and its own defaults) build the parser, the
+config-file reader and ``ExperimentSpec``, the resolved settings of one
+invocation. A JSON config file may give any setting a command reads, by name;
 commands that build a RunConfig also take a nested "config" object of run
 parameters (n_par, n_iterations, rho, s_init, ...). File values are
 type-checked, never cast; an unread key is an error. Flags win over file
@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import csv
 import importlib
+import inspect
 import json
 import multiprocessing
 import sys
@@ -79,9 +80,9 @@ RUN_CSV_COMMON = ("iteration", "event", "zoom_level", "best_y")
 RUN_CSV_TAIL = ("algo_time_s", "eval_time_s")
 
 
-# One CLI setting. ``type`` is int, str, list (of integers, comma-separated on
-# the command line) or bool (a switch: its flag only). ``minimum`` bounds an
-# int, or each item of a list, which must then hold at least one.
+# One CLI setting. ``type`` is int, str or list (of integers, comma-separated
+# on the command line). ``minimum`` bounds an int, or each item of a list,
+# which must then hold at least one.
 Setting = namedtuple("Setting", "flag type default help choices minimum", defaults=(None, None))
 
 
@@ -95,18 +96,13 @@ SETTINGS = {
                     "them in this process)", minimum=1),
     "seed": Setting("--seed", int, 0, "base seed; repeat r uses seed+r", minimum=0),
     "out": Setting("--out", str, "results", "output directory"),
-    "deterministic_timing": Setting("--deterministic-timing", bool, False,
-                                    "write timing columns as 0.0 for byte-reproducible output"),
-    "real_timing": Setting("--real-timing", bool, True,
-                           "write wall times instead of the default deterministic 0.0"),
+    "timing": Setting("--timing", str, "real", "timing columns: wall times (real), or 0.0 "
+                      "for byte-reproducible output (zero; bench-suite's default)",
+                      choices=("real", "zero")),
     "n_values": Setting("--n-values", list, [10, 20, 30, 40, 50, 60, 70, 80, 90, 100],
                         "comma-separated training sizes (a fit needs 2 points)", minimum=2),
     "n_mc": Setting("--n-mc", int, 100_000, "Monte-Carlo samples for the error", minimum=1),
 }
-
-# bench-suite writes timing columns as 0.0 unless --real-timing, so identically
-# seeded suites are byte-identical; model-error averages ten repeats.
-_COMMAND_DEFAULTS = {"bench-suite": {"real_timing": False}, "model-error": {"repeats": 10}}
 
 _KINDS = {int: "an integer", str: "a string", list: "a list of integers"}
 
@@ -126,7 +122,9 @@ def _load_problem(name: str, seed: int):
     """A benchmark name, or ``package.module:factory`` for plug-ins.
 
     The factory is called with the repeat's master seed and must return an
-    Objective; an Objective instance is used as-is.
+    Objective; an Objective instance is used as-is. A factory whose signature
+    does not take the seed is a ValueError before the call, so a TypeError
+    from inside a factory's body still propagates.
     """
     if ":" in name:
         mod_name, _, attr = name.partition(":")
@@ -135,6 +133,12 @@ def _load_problem(name: str, seed: int):
             return obj
         if not callable(obj):
             raise ValueError(f"plug-in {name!r} is neither an Objective nor a factory")
+        try:
+            inspect.signature(obj).bind(seed)
+        except ValueError:  # no inspectable signature: call it as it is
+            pass
+        except TypeError as exc:
+            raise ValueError(f"plug-in factory {name!r} cannot be called with the seed ({exc})")
         made = obj(seed)
         if not isinstance(made, Objective):
             raise ValueError(f"plug-in {name!r} did not produce an Objective")
@@ -180,19 +184,12 @@ def _write_json(path: Path, obj):
 
 
 def _aggregate_rows(per_run_rows):
-    """Mean/std of the objective column per iteration (last row per iteration)."""
-    per_run_curves = []
-    iterations = None
-    for rows in per_run_rows:
-        curve = {}
-        for row in rows:
-            curve[int(row[0])] = float(row[4])
-        per_run_curves.append(curve)
-        its = sorted(curve)
-        iterations = its if iterations is None else sorted(set(iterations) & set(its))
+    """Mean/std of the objective column per iteration (last row per iteration).
+    Every run of one problem logs the same iterations."""
+    curves = [{int(row[0]): float(row[4]) for row in rows} for rows in per_run_rows]
     out = []
-    for it in iterations or []:
-        vals = np.array([curve[it] for curve in per_run_curves])
+    for it in sorted(curves[0]):
+        vals = np.array([curve[it] for curve in curves])
         out.append([it, float(vals.mean()), float(vals.std())])
     return out
 
@@ -218,7 +215,7 @@ def _run_repeat(spec: ExperimentSpec, problem_name: str, seed: int):
         objective, evaluator = problem, serial_evaluator(problem)
         column, true_mean = "noisy_y_best", None
     header = [*RUN_CSV_COMMON, column, *RUN_CSV_TAIL]
-    real_timing = spec.real_timing and not spec.deterministic_timing
+    real_timing = spec.timing == "real"
     config = default_config(
         objective.dimension, spec.n_par, n_iterations=spec.n_iterations, seed=seed,
         **spec.config_overrides,
@@ -409,15 +406,18 @@ def cmd_cost_profile(spec: ExperimentSpec) -> int:
 
 _RUN_SETTINGS = ("problem", "algo", "n_par", "n_iterations", "seed", "out")
 
-# Each command: its handler, its help, and the SETTINGS it reads.
+# Each command: its handler, its help, the SETTINGS it reads, and its own
+# defaults for them. bench-suite writes timing columns as 0.0, so identically
+# seeded suites are byte-identical; model-error averages ten repeats.
+# cost-profile does not read timing: it always writes wall times.
 COMMANDS = {
     "optimize": (cmd_optimize, "run an optimization experiment",
-                 (*_RUN_SETTINGS, "repeats", "jobs", "deterministic_timing")),
+                 (*_RUN_SETTINGS, "repeats", "jobs", "timing"), {}),
     "bench-suite": (cmd_bench_suite, "optimize across benchmarks",
-                    (*_RUN_SETTINGS, "repeats", "jobs", "real_timing")),
+                    (*_RUN_SETTINGS, "repeats", "jobs", "timing"), {"timing": "zero"}),
     "model-error": (cmd_model_error, "surrogate regression study",
-                    ("problem", "repeats", "seed", "out", "n_values", "n_mc")),
-    "cost-profile": (cmd_cost_profile, "per-iteration timing profile", _RUN_SETTINGS),
+                    ("problem", "repeats", "seed", "out", "n_values", "n_mc"), {"repeats": 10}),
+    "cost-profile": (cmd_cost_profile, "per-iteration timing profile", _RUN_SETTINGS, {}),
 }
 
 
@@ -431,18 +431,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="prosrs", description="Parallel surrogate optimization toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, names) in COMMANDS.items():
+    for command, (_, help_text, names, _) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for name in names:
             setting = SETTINGS[name]
-            if setting.type is bool:
-                p.add_argument(setting.flag, dest=name, action="store_true", default=None,
-                               help=setting.help)
-            else:
-                p.add_argument(
-                    setting.flag, dest=name, choices=setting.choices, help=setting.help,
-                    type=_int_list if setting.type is list else setting.type,
-                )
+            p.add_argument(
+                setting.flag, dest=name, choices=setting.choices, help=setting.help,
+                type=_int_list if setting.type is list else setting.type,
+            )
         p.add_argument("--config", help="JSON config file")
     return parser
 
@@ -467,17 +463,16 @@ def _spec_from_args(args) -> ExperimentSpec:
     """Resolve each setting the command reads, once: its flag, then the config
     file's "config" block (run parameters only), then the file's top-level
     key, then the default."""
-    names = COMMANDS[args.command][2]
+    _, _, names, command_defaults = COMMANDS[args.command]
     file_values = {}
     if args.config:
         with open(args.config) as f:
             file_values = json.load(f)
         if not isinstance(file_values, dict):
             raise ValueError("config file must hold a JSON object")
-    # Switches are flags only; a command that builds a RunConfig (it reads
-    # n_par) also takes the block of further run parameters.
-    keys = {name for name in names if SETTINGS[name].type is not bool}
-    unread = sorted(set(file_values) - keys - ({"config"} if "n_par" in names else set()))
+    # A command that builds a RunConfig (it reads n_par) also takes the block
+    # of further run parameters.
+    unread = sorted(set(file_values) - set(names) - ({"config"} if "n_par" in names else set()))
     if unread:
         raise ValueError(f"{args.command} does not read config file keys: {', '.join(unread)}")
 
@@ -494,7 +489,7 @@ def _spec_from_args(args) -> ExperimentSpec:
         overrides["s_init"] = ExploitState(**s_init)
 
     values = {name: setting.default for name, setting in SETTINGS.items()}
-    values.update(_COMMAND_DEFAULTS.get(args.command, {}))
+    values.update(command_defaults)
     for name in names:
         # Every given value is checked, a losing one too. A run parameter
         # leaves the block, so default_config does not get it twice.

@@ -40,3 +40,8 @@ def unevaluable(seed):
 def broken_at_seed_1(seed):
     """``broken`` for seed 1 and ``quadratic`` for every other seed."""
     return broken(seed) if seed == 1 else quadratic(seed)
+
+
+def raises_type_error(seed):
+    """A factory that takes the seed, but whose body raises a TypeError."""
+    raise TypeError("raised inside the factory")

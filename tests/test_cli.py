@@ -57,7 +57,7 @@ class TestOptimize:
     def test_repeat_files_are_reproducible(self, tmp_path):
         args = (
             "optimize", "--problem", "Dropwave2", "--iterations", "5", "--seed", "3",
-            "--deterministic-timing",
+            "--timing", "zero",
         )
         run_cli(*args, "--out", tmp_path / "a")
         run_cli(*args, "--out", tmp_path / "b")
@@ -116,6 +116,22 @@ class TestOptimize:
     def test_plugin_that_is_not_callable_is_config_error(self, tmp_path, capsys):
         assert run_cli("optimize", "--problem", "math:pi", "--out", tmp_path / "out") == 2
         assert "math:pi" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_plugin_factory_that_does_not_take_the_seed_is_config_error(self, tmp_path, capsys):
+        code = run_cli(
+            "optimize", "--problem", "os:getcwd", "--iterations", "2", "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert "os:getcwd" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_type_error_inside_a_factory_propagates(self, tmp_path):
+        with pytest.raises(TypeError, match="inside the factory"):
+            run_cli(
+                "optimize", "--problem", "plugin_objectives:raises_type_error",
+                "--iterations", "2", "--out", tmp_path / "out",
+            )
         assert not (tmp_path / "out").exists()
 
     def test_evaluator_failure_exit_code_and_partial_flush(self, tmp_path, capsys):
@@ -229,6 +245,52 @@ class TestBenchSuite:
         assert all(r["algo_time_s"] == "0.0" and r["eval_time_s"] == "0.0" for r in rows)
 
 
+class TestTiming:
+    """``--timing real`` writes wall times and ``--timing zero`` writes 0.0;
+    optimize defaults to real (bench-suite's zero default is checked in
+    TestBenchSuite)."""
+
+    @pytest.mark.parametrize(
+        "command, flags, file_values, zero",
+        [
+            ("optimize", (), None, False),
+            ("optimize", ("--timing", "zero"), None, True),
+            ("optimize", (), {"timing": "zero"}, True),
+            ("optimize", ("--timing", "real"), {"timing": "zero"}, False),
+            ("bench-suite", ("--timing", "real"), None, False),
+            ("bench-suite", (), {"timing": "real"}, False),
+        ],
+        ids=["optimize-default", "optimize-flag", "optimize-file", "optimize-flag-wins",
+             "bench-suite-flag", "bench-suite-file"],
+    )
+    def test_timing_columns(self, tmp_path, command, flags, file_values, zero):
+        config = ()
+        if file_values is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(file_values))
+            config = ("--config", tmp_path / "cfg.json")
+        code = run_cli(
+            command, "--problem", "Dropwave2", "--iterations", "3", *flags, *config,
+            "--out", tmp_path / "out",
+        )
+        assert code == 0
+        run_dir = tmp_path / "out" / ("Dropwave2" if command == "bench-suite" else "")
+        with open(run_dir / "Dropwave2_prosrs_seed0.csv") as f:
+            values = [r[k] for r in csv.DictReader(f) for k in ("algo_time_s", "eval_time_s")]
+        if zero:
+            assert set(values) == {"0.0"}
+        else:
+            assert any(float(v) > 0 for v in values)
+
+    @pytest.mark.parametrize("command", ["optimize", "bench-suite"])
+    def test_bad_timing_flag_is_rejected(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--problem", "Dropwave2", "--timing", "wall",
+                    "--out", tmp_path / "out")
+        assert exc.value.code == 2
+        assert "--timing" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def file_tree(root):
     """Every file under ``root``, by relative path, with its bytes."""
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
@@ -242,7 +304,7 @@ class TestJobs:
         [
             (("bench-suite", "--problem", "Dropwave2,SixHumpCamel2", "--repeats", "2"), 11),
             (("optimize", "--problem", "Dropwave2", "--repeats", "3",
-              "--deterministic-timing"), 7),
+              "--timing", "zero"), 7),
         ],
         ids=["bench-suite", "optimize"],
     )
@@ -446,6 +508,8 @@ class TestSettings:
             ("optimize", {"n_mc": 5}, "n_mc"),
             ("cost-profile", {"jobs": 2}, "jobs"),
             ("model-error", {"config": {"rho": 0.5}}, "config"),
+            ("cost-profile", {"timing": "zero"}, "timing"),
+            ("model-error", {"timing": "real"}, "timing"),
         ],
     )
     def test_unread_file_key_fails_before_evaluating(
@@ -467,6 +531,8 @@ class TestSettings:
             ("optimize", {"out": 5}, "out"),
             ("optimize", {"problem": 5}, "problem"),
             ("optimize", {"algo": "Random"}, "algo"),
+            ("optimize", {"timing": True}, "timing"),
+            ("optimize", {"timing": "wall"}, "timing"),
         ],
     )
     def test_file_values_are_checked_not_cast(
@@ -483,9 +549,11 @@ class TestSettings:
             ("model-error", "--iterations", "5"),
             ("model-error", "--algo", "random"),
             ("cost-profile", "--repeats", "2"),
+            ("model-error", "--timing", "zero"),
+            ("cost-profile", "--timing", "zero"),
         ],
         ids=["model-error-n-par", "model-error-iterations", "model-error-algo",
-             "cost-profile-repeats"],
+             "cost-profile-repeats", "model-error-timing", "cost-profile-timing"],
     )
     def test_flag_the_command_does_not_read_is_rejected(self, tmp_path, capsys, argv):
         # Cheap settings, so a parser that took the flag would finish quickly.
