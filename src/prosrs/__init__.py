@@ -36,7 +36,6 @@ from .problem import (
     derive_streams,
 )
 from .srs import (
-    WeightPattern,
     generate_candidates,
     select_batch,
     weight_pattern,
@@ -70,7 +69,6 @@ __all__ = [
     "RbfSurrogate",
     "RunConfig",
     "RunResult",
-    "WeightPattern",
     "ZoomNode",
     "ZoomTree",
     "benchmark_objective",

@@ -3,9 +3,10 @@
 Everything here is plain numpy. The squared distance between two points is
 summed over the coordinates in order, one coordinate column at a time, as
 ``scipy.spatial.distance.cdist(..., "sqeuclidean")`` sums it, so both round
-alike: ``squared_distances`` is that one summation, and every distance a run
-compares (nearest evaluated point, nearest pick, the design's maximin score)
-goes through it.
+alike. ``squared_distances`` is that summation, and every distance a run
+compares goes through it (nearest evaluated point, the design's maximin
+score) or through ``update_min_dists``, which sums the same way for one new
+point (nearest pick).
 
 ``multiquadric_matrix`` forms 1 + ||a_i - b_j||^2 as one matrix product of
 two factors that carry the squared norms and the 1 as extra columns, after
@@ -175,15 +176,24 @@ def min_dists(points, refs) -> np.ndarray:
 
 
 def update_min_dists(current, points, new_ref) -> np.ndarray:
-    """Elementwise min of ``current`` and the distance to one new point,
-    summed as ``min_dists`` sums it. ``points`` is fastest in Fortran order."""
+    """Elementwise min of ``current`` and the distance from each row of
+    ``points`` to one new point, summed as ``min_dists`` sums it: the squared
+    differences are added one coordinate column at a time, in coordinate
+    order, into one buffer, so ``points`` may come in any layout."""
     current = np.ascontiguousarray(current, dtype=np.float64)
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     new_ref = np.atleast_2d(np.asarray(new_ref, dtype=np.float64))
     if new_ref.shape != (1, points.shape[1]):
         raise ValueError(f"new_ref of shape {new_ref.shape} is not one {points.shape[1]}-D point")
-    d = squared_distances(points, new_ref)
-    return np.minimum(current, np.sqrt(d, out=d))
+    acc = np.subtract(points[:, 0], new_ref[0, 0])
+    acc *= acc
+    diff = np.empty_like(acc)
+    for k in range(1, points.shape[1]):
+        np.subtract(points[:, k], new_ref[0, k], out=diff)
+        diff *= diff
+        acc += diff
+    np.sqrt(acc, out=acc)
+    return np.minimum(current, acc, out=acc)
 
 
 def multiquadric_factor(b) -> np.ndarray:

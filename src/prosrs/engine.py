@@ -250,8 +250,8 @@ def run_prosrs(
             config.n_candidates_per_dim * d,
             rngs["candidates"],
         )
-        pattern = weight_pattern(config.n_par, proposal_count)
-        X_new = candidates[select_batch(candidates, model, data.X, pattern)]
+        weights = weight_pattern(config.n_par, proposal_count)
+        X_new = candidates[select_batch(candidates, model, data.X, weights)]
         algo_time = time.perf_counter() - t0
         proposal_count += 1
 
@@ -268,9 +268,10 @@ def run_prosrs(
             x_star = tree.data.X[best_fit_index(tree.data, model)]
             child = tree.zoom_in(x_star)
             # fit_rbf needs two points, so a child holding fewer cannot be
-            # searched: it restarts like one resolved below the threshold.
+            # searched, nor can one whose box rounds to zero width (None):
+            # either restarts like one resolved below the threshold.
             n = len(tree.data)
-            if n < 2 or restart_condition(child.omega, n, domain, config):
+            if child is None or n < 2 or restart_condition(child.omega, n, domain, config):
                 event = EVENT_RESTART
                 tree.restart()
                 pending = design_batches()

@@ -4,12 +4,11 @@ Each iteration draws a pool of candidates inside the current domain — a
 mixture of uniform draws (Type I) and Gaussian perturbations of the current
 surrogate-best point (Type II) — as one (t, d) array, then picks a batch by
 blending a surrogate response score against a min-distance exploration score,
-one pick per weight in the pattern, and returns the indices of the picks.
+one pick per weight of the 1-D weight array that ``weight_pattern`` returns,
+and returns the indices of the picks.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,27 +17,8 @@ from .problem import BoxDomain, EvalDataset, ExploitState, clip_to_domain
 from .surrogate import RbfSurrogate, predict_batch
 
 
-@dataclass(frozen=True)
-class WeightPattern:
-    """Per-slot response-vs-distance tradeoff weights, each in [0.3, 1]."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if w.size < 1:
-            raise ValueError("weight pattern must be nonempty")
-        if np.any(w < 0.3) or np.any(w > 1.0):
-            raise ValueError("weights must lie in [0.3, 1]")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    def __len__(self) -> int:
-        return int(self.weights.size)
-
-
-def weight_pattern(n_par: int, iteration_index: int = 0) -> WeightPattern:
-    """Weights for a batch of ``n_par`` proposals.
+def weight_pattern(n_par: int, iteration_index: int = 0) -> np.ndarray:
+    """Weights for a batch of ``n_par`` proposals, as a 1-D array.
 
     For n_par >= 2 these are the n_par equally spaced values from 0.3 to 1.0
     inclusive. For n_par = 1 the single weight alternates between iterations:
@@ -47,8 +27,8 @@ def weight_pattern(n_par: int, iteration_index: int = 0) -> WeightPattern:
     if n_par < 1:
         raise ValueError("n_par must be >= 1")
     if n_par == 1:
-        return WeightPattern(np.array([0.3 if iteration_index % 2 == 0 else 1.0]))
-    return WeightPattern(np.linspace(0.3, 1.0, n_par))
+        return np.array([0.3 if iteration_index % 2 == 0 else 1.0])
+    return np.linspace(0.3, 1.0, n_par)
 
 
 def best_fit_index(data: EvalDataset, model: RbfSurrogate) -> int:
@@ -86,52 +66,51 @@ def generate_candidates(
     return pts
 
 
-def select_batch(points, model: RbfSurrogate, evaluated, pattern: WeightPattern) -> list:
+def _min_max_scaled(v: np.ndarray) -> np.ndarray:
+    """``(v - min) / (max - min)``, identically 0 when the range is degenerate."""
+    lo, hi = v.min(), v.max()
+    if hi > lo:
+        return (v - lo) / (hi - lo)
+    return np.zeros_like(v)
+
+
+def select_batch(points, model: RbfSurrogate, evaluated, weights) -> list:
     """Pick one row of ``points`` per weight, scoring response against spread.
 
-    For each weight w, over the remaining pool: the response score is the
-    min-max normalized surrogate value, the distance score is the min-max
-    normalized negated distance to the nearest point among the evaluated
-    points and the proposals already picked (both scores identically 0 when
-    their range is degenerate). The candidate minimizing
+    ``weights`` is a nonempty 1-D array of values in [0.3, 1], such as
+    ``weight_pattern`` returns. For each weight w, over the remaining pool:
+    the response score is the min-max scaled surrogate value, the distance
+    score is the min-max scaled negated distance to the nearest point among
+    the evaluated points and the proposals already picked (both scores
+    identically 0 when their range is degenerate). The candidate minimizing
     w * response + (1 - w) * distance is selected (ties: lowest index),
     removed from the pool, and the nearest-distances are refreshed. Returns
-    the row indices of the picks, in pattern order.
+    the row indices of the picks, in weight order. ``points`` may come in
+    any layout; it is not copied.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     evaluated = np.atleast_2d(np.asarray(evaluated, dtype=float))
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 1 or weights.size == 0:
+        raise ValueError("weights must be a nonempty 1-D array")
+    if not np.all((weights >= 0.3) & (weights <= 1.0)):
+        raise ValueError("weights must lie in [0.3, 1]")
     t = points.shape[0]
     if t == 0 or evaluated.shape[0] == 0:
         raise ValueError("candidates and evaluated points must be nonempty")
-    n_par = len(pattern)
-    if t < n_par:
-        raise ValueError(f"pool of {t} candidates cannot fill {n_par} slots")
+    if t < weights.size:
+        raise ValueError(f"pool of {t} candidates cannot fill {weights.size} slots")
 
     g = predict_batch(model, points)
     dmin = _kernels.min_dists(points, evaluated)
-    # A transposed copy, whose coordinate columns the refreshes read.
-    columns = np.asfortranarray(points)
     active = np.ones(t, dtype=bool)
     picked = []
-    for w in pattern.weights:
+    for w in weights:
         idx = np.flatnonzero(active)
-        g_pool = g[idx]
-        d_pool = dmin[idx]
-
-        g_lo, g_hi = g_pool.min(), g_pool.max()
-        if g_hi > g_lo:
-            score_resp = (g_pool - g_lo) / (g_hi - g_lo)
-        else:
-            score_resp = np.zeros_like(g_pool)
-
-        d_lo, d_hi = d_pool.min(), d_pool.max()
-        if d_hi > d_lo:
-            score_dist = (d_hi - d_pool) / (d_hi - d_lo)
-        else:
-            score_dist = np.zeros_like(d_pool)
-
-        choice = idx[int(np.argmin(w * score_resp + (1.0 - w) * score_dist))]
+        # Negation is exact: the distance score is (max - d) / (max - min).
+        score = w * _min_max_scaled(g[idx]) + (1.0 - w) * _min_max_scaled(-dmin[idx])
+        choice = idx[int(np.argmin(score))]
         picked.append(int(choice))
         active[choice] = False
-        dmin = _kernels.update_min_dists(dmin, columns, points[choice])
+        dmin = _kernels.update_min_dists(dmin, points, points[choice])
     return picked

@@ -6,7 +6,8 @@ restart, and the current node's data is that archive restricted to the node's
 box. Zooming in shrinks the domain around the current surrogate-best point by
 the zoom factor (clipped at the parent's walls); zooming out returns to the
 parent with the node's own small probability. Once a would-be child is finer
-than the resolution threshold relative to the root domain, the run restarts
+than the resolution threshold relative to the root domain, or too thin to
+represent in floating point, the run restarts
 from a fresh design: its one tree drops every node and evaluation and starts
 again from an empty root.
 """
@@ -102,7 +103,7 @@ def effective_n(data: EvalDataset, omega: BoxDomain) -> int:
         raise ValueError("dataset is empty")
     d = omega.dim
     k = _cells_per_dim(n, d)
-    u = (data.X - omega.lower) / omega.side_lengths
+    u = omega.to_unit(data.X)
     idx = np.clip(np.floor(u * k).astype(np.int64), 0, k - 1)
     # Distinct rows, each viewed as one opaque item: a flat cell index over
     # (k,) * d overflows int64 with k**d, and numpy rejects it for any d >= 63.
@@ -168,7 +169,7 @@ class ZoomTree:
         self.archive = self.archive.with_batch(X, y)
         self.data = self.data.with_batch(X, y)
 
-    def zoom_in(self, x_star) -> ZoomNode:
+    def zoom_in(self, x_star) -> ZoomNode | None:
         """Create or revisit the child of the current node around ``x_star``.
 
         If no existing child's domain contains x_star, a new child is created
@@ -179,7 +180,10 @@ class ZoomTree:
         revisited: its zoom-out probability halves (floored at beta_min); its
         state persists. Either way the parent's state and failure counter
         reset, and the child becomes the current node, its data drawn from
-        the archive.
+        the archive. A new child whose clipped bounds round to equal values
+        on some axis cannot be represented: then nothing changes and None is
+        returned, and the caller restarts as for a child finer than the
+        resolution threshold.
         """
         node = self.current
         x_star = np.asarray(x_star, dtype=float)
@@ -193,12 +197,12 @@ class ZoomTree:
             child.beta = max(child.beta / 2.0, self.config.beta_min)
         else:
             half = 0.5 * self.config.rho * node.omega.side_lengths
-            child_omega = BoxDomain(
-                np.maximum(x_star - half, node.omega.lower),
-                np.minimum(x_star + half, node.omega.upper),
-            )
+            lower = np.maximum(x_star - half, node.omega.lower)
+            upper = np.minimum(x_star + half, node.omega.upper)
+            if not np.all(lower < upper):
+                return None
             child = ZoomNode(
-                child_omega, self.config.s_init, self.config.beta_init,
+                BoxDomain(lower, upper), self.config.s_init, self.config.beta_init,
                 parent=node, node_id=next(self._ids),
             )
             node.children.append(child)

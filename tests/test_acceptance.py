@@ -28,7 +28,7 @@ from prosrs.problem import (
     default_config,
     stream_seedseq,
 )
-from prosrs.srs import WeightPattern, select_batch
+from prosrs.srs import select_batch
 from prosrs.surrogate import RbfSurrogate, fit_rbf, predict_batch
 from prosrs.zoomtree import ZoomNode, restart_condition, update_state
 
@@ -170,7 +170,7 @@ def test_criterion_04_selection_matches_exhaustive_oracle():
         evaluated = rng.uniform(0, 1, size=(int(rng.integers(1, 4)), d))
         weights = np.sort(rng.uniform(0.3, 1.0, size=n_par))
         g = predict_batch(model, pts)
-        idx = select_batch(pts, model, evaluated, WeightPattern(weights))
+        idx = select_batch(pts, model, evaluated, weights)
         if idx != oracle_select(pts, g, evaluated, weights):
             mismatches += 1
     report(

@@ -188,6 +188,20 @@ class TestRunProsrs:
         assert any(log.event == EVENT_RESTART for log in result.logs)
         assert sum(log.iteration >= 1 for log in result.logs) == cfg.n_iterations
 
+    @pytest.mark.parametrize("n_par", [1, 2, 4])
+    def test_box_a_few_ulps_wide_restarts(self, n_par):
+        # Sides of 9.5e-7 at 1e9 are 8 ulps: a zoom-in child's clipped bounds
+        # round to equal values on some axis, so the child cannot be a box
+        # and the run restarts instead.
+        lo = np.full(2, 1e9)
+        dom = BoxDomain(lo, lo + 1e-6)
+        obj = Objective(2, dom, lambda x: float(np.sum((np.asarray(x) - lo) ** 2)))
+        result = run_prosrs(obj, default_config(2, n_par, n_iterations=40, seed=0))
+        assert any(log.event == EVENT_RESTART for log in result.logs)
+        assert sum(log.iteration >= 1 for log in result.logs) == 40
+        for log in result.logs:
+            assert np.all(dom.contains(log.proposed_x))
+
     def test_runs_in_64_dimensions(self):
         obj = sphere_objective(64)
         cfg = default_config(64, 4, n_iterations=3, seed=0, n_candidates_per_dim=10)

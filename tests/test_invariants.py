@@ -24,8 +24,8 @@ LANDSCAPES = {
 
 @st.composite
 def run_configs(draw):
-    d = draw(st.integers(1, 4))
-    n_par = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 10))
+    n_par = draw(st.integers(1, 12))
     return default_config(
         d, n_par,
         n_iterations=draw(st.integers(1, 12)),
@@ -37,7 +37,7 @@ def run_configs(draw):
     )
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(config=run_configs(), landscape=st.sampled_from(sorted(LANDSCAPES)))
 def test_run_invariants_hold_on_degenerate_objectives(config, landscape):
     d = config.dim

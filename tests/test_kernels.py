@@ -182,7 +182,8 @@ class TestNearTies:
         # Current distances equal to, or an ulp either side of, the new ones.
         current = new * (1 + np.resize([-(2.0**-52), 0.0, 2.0**-52], len(new)))
         want = np.minimum(current, new)
-        for layout in (refs, np.asfortranarray(refs)):
+        # C order, Fortran order, and every other row of a pool twice as long.
+        for layout in (refs, np.asfortranarray(refs), np.repeat(refs, 2, axis=0)[::2]):
             np.testing.assert_array_equal(_kernels.update_min_dists(current, layout, new_ref), want)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)

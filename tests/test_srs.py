@@ -5,7 +5,6 @@ from selection_oracle import oracle_select
 
 from prosrs.problem import BoxDomain, EvalDataset, ExploitState, clip_to_domain
 from prosrs.srs import (
-    WeightPattern,
     best_fit_index,
     generate_candidates,
     select_batch,
@@ -37,19 +36,21 @@ def toy_data(seed=0, d=2, n=6):
 
 class TestWeightPattern:
     def test_three_slots(self):
-        np.testing.assert_allclose(weight_pattern(3).weights, [0.3, 0.65, 1.0])
+        np.testing.assert_allclose(weight_pattern(3), [0.3, 0.65, 1.0])
 
     def test_two_slots_are_endpoints(self):
-        np.testing.assert_allclose(weight_pattern(2).weights, [0.3, 1.0])
+        np.testing.assert_allclose(weight_pattern(2), [0.3, 1.0])
 
     def test_single_slot_alternates(self):
-        np.testing.assert_allclose(weight_pattern(1, 0).weights, [0.3])
-        np.testing.assert_allclose(weight_pattern(1, 1).weights, [1.0])
-        np.testing.assert_allclose(weight_pattern(1, 2).weights, [0.3])
+        np.testing.assert_allclose(weight_pattern(1, 0), [0.3])
+        np.testing.assert_allclose(weight_pattern(1, 1), [1.0])
+        np.testing.assert_allclose(weight_pattern(1, 2), [0.3])
 
     def test_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            WeightPattern(np.array([0.2]))
+        pts = np.random.default_rng(0).uniform(0, 1, size=(10, 2))
+        for weights in (np.array([0.2]), np.array([0.3, 1.2])):
+            with pytest.raises(ValueError, match=r"\[0\.3, 1\]"):
+                select_batch(pts, toy_model(), np.array([[0.5, 0.5]]), weights)
         with pytest.raises(ValueError):
             weight_pattern(0)
 
@@ -142,7 +143,7 @@ class TestSelectBatch:
         model = toy_model(4)
         pts = rng.uniform(0, 1, size=(50, 2))
         idx = select_batch(
-            pts, model, rng.uniform(0, 1, size=(3, 2)), WeightPattern(np.array([1.0]))
+            pts, model, rng.uniform(0, 1, size=(3, 2)), np.array([1.0])
         )
         g = predict_batch(model, pts)
         assert idx[0] == int(np.argmin(g))
@@ -154,7 +155,7 @@ class TestSelectBatch:
         model = RbfSurrogate(np.array([[0.5, 0.5]]), np.array([0.0]), 0.0, 0.0, unit_box())
         pts = rng.uniform(0, 1, size=(40, 2))
         evaluated = np.array([[0.5, 0.5]])
-        idx = select_batch(pts, model, evaluated, WeightPattern(np.array([0.3])))
+        idx = select_batch(pts, model, evaluated, np.array([0.3]))
         dists = np.linalg.norm(pts - evaluated[0], axis=1)
         assert idx[0] == int(np.argmax(dists))
 
@@ -164,9 +165,9 @@ class TestSelectBatch:
         model = toy_model(6)
         g = predict_batch(model, pts)
         evaluated = np.array([[0.0, 0.0]])
-        pattern = WeightPattern(np.array([0.3, 1.0]))
-        idx = select_batch(pts, model, evaluated, pattern)
-        assert idx == oracle_select(pts, g, evaluated, pattern.weights)
+        weights = np.array([0.3, 1.0])
+        idx = select_batch(pts, model, evaluated, weights)
+        assert idx == oracle_select(pts, g, evaluated, weights)
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(7)
@@ -179,7 +180,7 @@ class TestSelectBatch:
             evaluated = rng.uniform(0, 1, size=(int(rng.integers(1, 4)), d))
             weights = np.sort(rng.uniform(0.3, 1.0, size=n_par))
             g = predict_batch(model, pts)
-            idx = select_batch(pts, model, evaluated, WeightPattern(weights))
+            idx = select_batch(pts, model, evaluated, weights)
             assert idx == oracle_select(pts, g, evaluated, weights)
 
     def test_picks_are_distinct(self):
@@ -201,9 +202,25 @@ class TestSelectBatch:
             w1, w2 = sorted(rng.uniform(0.3, 1.0, size=2))
             picks = {}
             for w in (w1, w2):
-                idx = select_batch(pts, model, evaluated, WeightPattern(np.array([w])))
+                idx = select_batch(pts, model, evaluated, np.array([w]))
                 picks[w] = idx[0]
             assert g[picks[w2]] <= g[picks[w1]] + 1e-12
+
+    def test_pool_layout_does_not_change_the_picks(self):
+        rng = np.random.default_rng(10)
+        model = toy_model(10, d=3)
+        pts = rng.uniform(0, 1, size=(200, 3))
+        evaluated = rng.uniform(0, 1, size=(5, 3))
+        want = select_batch(pts, model, evaluated, weight_pattern(8))
+        # Fortran order, and every other row of a pool twice as long.
+        for pool in (np.asfortranarray(pts), np.repeat(pts, 2, axis=0)[::2]):
+            assert select_batch(pool, model, evaluated, weight_pattern(8)) == want
+
+    def test_weights_must_be_a_nonempty_vector(self):
+        pts = np.random.default_rng(0).uniform(0, 1, size=(10, 2))
+        for weights in (np.array([]), np.array([[0.3, 1.0]]), np.float64(0.5)):
+            with pytest.raises(ValueError, match="nonempty 1-D"):
+                select_batch(pts, toy_model(), np.array([[0.5, 0.5]]), weights)
 
     def test_pool_too_small_raises(self):
         model = toy_model()

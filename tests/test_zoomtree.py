@@ -220,6 +220,16 @@ class TestZoomIn:
         chosen = tree.zoom_in(np.array([0.58, 0.5]))
         assert chosen is b
 
+    def test_child_that_rounds_to_zero_width_is_not_made(self):
+        # A root 2 ulps wide on the first axis: the child's bounds round to
+        # the zoom center there, so no child is made and nothing changes.
+        lo = np.array([1.0, 0.0])
+        tree = ZoomTree(BoxDomain(lo, np.array([1.0 + 2 * 2.0**-52, 1.0])), self.cfg())
+        tree.root.state = ExploitState(-4.0, 0.02, 0.01)
+        assert tree.zoom_in(np.array([1.0 + 2.0**-52, 0.5])) is None
+        assert tree.current is tree.root and not tree.root.children
+        assert tree.root.state == ExploitState(-4.0, 0.02, 0.01)
+
     def test_center_outside_domain_raises(self):
         tree = self.tree(np.random.default_rng(8))
         with pytest.raises(ValueError):
