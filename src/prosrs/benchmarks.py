@@ -162,9 +162,12 @@ _HARTMANN6_P = np.array(
 @_landscape(6)
 def hartmann6(X):
     """Hartmann 6-D function; global minimum about -3.32237."""
-    # inner[i, j] = sum_k A[j, k] * (x_i[k] - P[j, k])^2
+    # inner[i, j] = sum_k A[j, k] * (x_i[k] - P[j, k])^2, squared and scaled
+    # in place, so that a batch holds one (n, 4, 6) temporary, not three.
     diff = X[:, None, :] - _HARTMANN6_P[None, :, :]
-    inner = np.sum(_HARTMANN6_A[None, :, :] * diff**2, axis=2)
+    np.square(diff, out=diff)
+    diff *= _HARTMANN6_A
+    inner = np.sum(diff, axis=2)
     return -np.sum(_HARTMANN6_ALPHA * np.exp(-inner), axis=1)
 
 

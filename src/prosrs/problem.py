@@ -27,6 +27,16 @@ class EvaluationError(RuntimeError):
         self.logs = logs if logs is not None else []
 
 
+# A box is refused unless this many times its squared diagonal D^2 is finite.
+# Distances between points of a box are measured in original coordinates,
+# and the largest value any distance kernel forms is in _kernels.min_dists:
+# with a = p - c and b = r - c for points of the box, its product v = -2 a.b
+# + ||b||^2 has |v| <= ||a||^2 + 2 ||b||^2 <= 3 D^2, and its band adds tol *
+# (||a||^2 + max ||b||^2) <= 2 tol D^2 to v, tol being 10 (d + 2) eps; 4 D^2
+# covers both and their rounding.
+_SQUARED_DIAGONAL_MARGIN = 4.0
+
+
 def _frozen_array(values, dtype=float):
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -35,7 +45,9 @@ def _frozen_array(values, dtype=float):
 
 @dataclass(frozen=True)
 class BoxDomain:
-    """Axis-aligned box ``[lower[i], upper[i]]`` in R^d with positive sides."""
+    """Axis-aligned box ``[lower[i], upper[i]]`` in R^d with positive sides,
+    short enough that squared distances between its points stay finite (see
+    ``_SQUARED_DIAGONAL_MARGIN``)."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -53,8 +65,14 @@ class BoxDomain:
             raise ValueError("every dimension must have strictly positive length")
         with np.errstate(over="ignore"):
             sides = hi - lo
+            reach = _SQUARED_DIAGONAL_MARGIN * np.sum(np.square(sides))
         if not np.all(np.isfinite(sides)):
             raise ValueError("every side length must be finite")
+        if not np.isfinite(reach):
+            raise ValueError(
+                f"side lengths {sides.tolist()} are too long: squared distances "
+                "between points of the box would overflow"
+            )
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 

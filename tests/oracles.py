@@ -11,7 +11,7 @@ from scipy.spatial.distance import pdist
 
 from prosrs import _kernels
 from prosrs.problem import BoxDomain
-from prosrs.surrogate import RbfSurrogate, predict_batch, response_weights
+from prosrs.surrogate import DEFAULT_LAMBDA_GRID, RbfSurrogate, predict_batch, response_weights
 
 
 def max_zoom_level(rho, r_resolution):
@@ -35,6 +35,24 @@ def fixed_lambda_model(data, gamma, lam):
     coef = np.linalg.solve(gram, phi.T @ (w * data.y))
     unit_box = BoxDomain(np.zeros(data.dim), np.ones(data.dim))
     return RbfSurrogate(data.X, coef, gamma, lam, unit_box)
+
+
+def svd_fit(data, domain, gamma):
+    """``fit_rbf`` from one singular value decomposition A = U diag(s) V^T of
+    A = W^(1/2) Phi, whatever the weights: GCV scores n |alpha|^2 / (sum 1 /
+    (s^2 + lambda))^2 from U^T b over the grid, and coefficients V diag(s /
+    (s^2 + lambda)) U^T b, for the responses scaled by a power of two."""
+    centers = domain.to_unit(data.X)
+    sqrt_w = np.sqrt(response_weights(data.y, gamma))
+    u, s, vt = np.linalg.svd(sqrt_w[:, None] * _kernels.multiquadric_matrix(centers, centers))
+    b = sqrt_w * data.y
+    k = int(np.frexp(np.max(np.abs(b)))[1])
+    ub = u.T @ np.ldexp(b, -k)
+    shifted = s**2 + np.array(DEFAULT_LAMBDA_GRID)[:, None]
+    scores = len(data) * np.sum((ub / shifted) ** 2, axis=1) / np.sum(1.0 / shifted, axis=1) ** 2
+    best = int(np.argmin(np.where(np.isfinite(scores), scores, np.inf)))
+    coef = np.ldexp(vt.T @ (s * ub / shifted[best]), k)
+    return RbfSurrogate(centers, coef, float(gamma), DEFAULT_LAMBDA_GRID[best], domain)
 
 
 def gcv_scores(phi, w, y, lambdas):

@@ -119,6 +119,18 @@ class TestKnownValues:
         assert res.fun >= p.known_min_value - 1e-6
         assert res.fun == pytest.approx(p.known_min_value, abs=1e-4)
 
+    @pytest.mark.parametrize("rows", [1, 7, 8192])
+    def test_hartmann6_equals_broadcast_formula_bitwise(self, rows):
+        # The textbook broadcast form, with its three (rows, 4, 6)
+        # temporaries; hartmann6 squares and scales one in place.
+        from prosrs.benchmarks import _HARTMANN6_A, _HARTMANN6_ALPHA, _HARTMANN6_P
+
+        X = np.random.default_rng(rows).uniform(0.0, 1.0, size=(rows, 6))
+        diff = X[:, None, :] - _HARTMANN6_P[None, :, :]
+        inner = np.sum(_HARTMANN6_A[None, :, :] * diff**2, axis=2)
+        want = -np.sum(_HARTMANN6_ALPHA * np.exp(-inner), axis=1)
+        assert hartmann6(X).tobytes() == want.tobytes()
+
     def test_power_sum_minimizer(self):
         p = make_benchmark("PowerSum4")
         assert p.true_mean(p.known_minimizer) == pytest.approx(0.0, abs=1e-12)

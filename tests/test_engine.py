@@ -202,6 +202,19 @@ class TestRunProsrs:
         for log in result.logs:
             assert np.all(dom.contains(log.proposed_x))
 
+    def test_box_just_inside_the_squared_distance_limit_runs(self):
+        # Sides of 4.7e153: four times the squared diagonal is just below the
+        # largest double, so no distance computation of the run overflows
+        # (warnings are errors).
+        side = 0.999 * np.sqrt(np.finfo(float).max / (4.0 * 2))
+        dom = BoxDomain(np.full(2, -side / 2), np.full(2, side / 2))
+        obj = Objective(2, dom, lambda x: float(np.sum(np.asarray(x)) / side))
+        cfg = default_config(2, 2, n_iterations=3, seed=0)
+        result = run_prosrs(obj, cfg)
+        assert result.n_evaluations == cfg.m_doe + 3 * cfg.n_par
+        for log in result.logs:
+            assert np.all(dom.contains(log.proposed_x))
+
     def test_runs_in_64_dimensions(self):
         obj = sphere_objective(64)
         cfg = default_config(64, 4, n_iterations=3, seed=0, n_candidates_per_dim=10)

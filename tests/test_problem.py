@@ -39,6 +39,22 @@ class TestBoxDomain:
         with pytest.raises(ValueError, match="side length"):
             BoxDomain(np.array([-1e308, 0.0]), np.array([1e308, 1.0]))
 
+    def test_rejects_sides_whose_squared_distances_overflow(self):
+        # Sides of 1.04e285 are finite, but squared distances between points
+        # of the box would reach 2e570.
+        with pytest.raises(ValueError, match=r"side lengths \[1\.04\d*e\+285, 1\.04\d*e\+285\]"):
+            BoxDomain(np.full(2, 1e300), np.full(2, 1e300 + 1e285))
+
+    @pytest.mark.parametrize("factor,accepted", [(0.999, True), (1.001, False)])
+    def test_squared_diagonal_limit(self, factor, accepted):
+        # The limit: four times the squared diagonal is the largest double.
+        side = factor * np.sqrt(np.finfo(float).max / (4.0 * 3))
+        if accepted:
+            assert BoxDomain(np.zeros(3), np.full(3, side)).dim == 3
+        else:
+            with pytest.raises(ValueError, match="too long"):
+                BoxDomain(np.zeros(3), np.full(3, side))
+
     @pytest.mark.parametrize("n", [0, 1, 7, 1000])
     def test_sample_uniform_equals_generator_uniform_bitwise(self, n):
         dom = BoxDomain(np.array([-5.0, 2.0, 0.1]), np.array([5.0, 4.0, 0.2]))

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from prosrs import BENCHMARK_NAMES, _kernels, make_benchmark
+from prosrs import BENCHMARK_NAMES, _kernels, latin_hypercube_maximin, make_benchmark
 from prosrs.problem import BoxDomain, EvalDataset
 from prosrs.surrogate import (
     DEFAULT_LAMBDA_GRID,
@@ -17,11 +17,28 @@ from prosrs.surrogate import (
     response_weights,
 )
 
-from oracles import fixed_lambda_model, gcv_scores, relative_l2_error_dense, training_loss
+from oracles import (
+    fixed_lambda_model,
+    gcv_scores,
+    relative_l2_error_dense,
+    svd_fit,
+    training_loss,
+)
 
 
 def unit_box(d=1):
     return BoxDomain(np.zeros(d), np.ones(d))
+
+
+def assert_matches_svd_oracle(data, domain, gamma):
+    """fit_rbf picks the SVD oracle's penalty, and its predictions at the
+    data and at 1000 uniform points are within 1e-9 of the oracle's, relative
+    to their largest magnitude."""
+    got, want = fit_rbf(data, domain, gamma), svd_fit(data, domain, gamma)
+    assert got.lam == want.lam
+    X = np.vstack([data.X, domain.sample_uniform(1000, np.random.default_rng(0))])
+    g, w = predict_batch(got, X), predict_batch(want, X)
+    assert np.max(np.abs(g - w)) <= 1e-9 * np.max(np.abs(w))
 
 
 def multiquadric(r):
@@ -259,14 +276,55 @@ class TestFit:
     def test_power_of_two_response_scale_keeps_lambda_and_scales_coefficients(self, e):
         # Scaling the responses by 2^e is exact, so GCV must pick the same
         # penalty and the coefficients must scale by exactly 2^e; squaring
-        # the raw scores would overflow (e >= 500) or underflow to ties.
+        # the raw scores would overflow (e >= 500) or underflow to ties. Both
+        # decompositions: eigh at gamma = 0, the SVD at gamma = -2.
         rng = np.random.default_rng(3)
         X = rng.uniform(0, 1, size=(40, 3))
         y = 3.0 + np.sin(3 * X.sum(axis=1)) + 0.3 * rng.standard_normal(40)
-        base = fit_rbf(EvalDataset(X, y), unit_box(3), -2.0)
-        scaled = fit_rbf(EvalDataset(X, np.ldexp(y, e)), unit_box(3), -2.0)
-        assert scaled.lam == base.lam
-        np.testing.assert_array_equal(scaled.coefficients, np.ldexp(base.coefficients, e))
+        for gamma in (0.0, -2.0):
+            base = fit_rbf(EvalDataset(X, y), unit_box(3), gamma)
+            scaled = fit_rbf(EvalDataset(X, np.ldexp(y, e)), unit_box(3), gamma)
+            assert scaled.lam == base.lam
+            np.testing.assert_array_equal(scaled.coefficients, np.ldexp(base.coefficients, e))
+
+    @pytest.mark.parametrize("name", ["Ackley10", "Hartmann6", "Rastrigin2"])
+    def test_symmetric_fit_matches_svd_oracle_on_model_error_designs(self, name):
+        # Designs of the kind model_error_trial fits: one unscored Latin
+        # hypercube and the problem's noise. At gamma = 0 every weight is 1
+        # and fit_rbf decomposes the symmetric Phi with eigh; the oracle
+        # takes the SVD of the same matrix.
+        problem = make_benchmark(name)
+        for n in (50, 100, 200, 400):
+            rng = np.random.default_rng(n)
+            X = latin_hypercube_maximin(n, problem.domain, rng, n_restarts=1)
+            y = problem.true_mean(X) + problem.noise_std * rng.standard_normal(n)
+            assert_matches_svd_oracle(EvalDataset(X, y), problem.domain, 0.0)
+
+    def test_symmetric_fit_matches_svd_oracle_on_duplicate_points(self):
+        # Ten points appear twice, so Phi has (numerically) zero eigenvalues.
+        rng = np.random.default_rng(8)
+        X = rng.uniform(0, 1, size=(30, 2))
+        X[20:] = X[:10]
+        y = np.sin(3 * X.sum(axis=1)) + 0.1 * rng.standard_normal(30)
+        assert_matches_svd_oracle(EvalDataset(X, y), unit_box(2), 0.0)
+
+    def test_symmetric_fit_matches_svd_oracle_on_constant_responses(self):
+        # Constant responses give unit weights whatever gamma is.
+        X = np.random.default_rng(5).uniform(0, 1, size=(40, 3))
+        for gamma in (0.0, -3.0):
+            assert_matches_svd_oracle(EvalDataset(X, np.full(40, 2.5)), unit_box(3), gamma)
+
+    @pytest.mark.parametrize("gamma", [-2.0, -4.0])
+    def test_weighted_fit_equals_svd_oracle_bitwise(self, gamma):
+        rng = np.random.default_rng(int(-gamma))
+        for _ in range(10):
+            n, d = int(rng.integers(4, 130)), int(rng.integers(1, 11))
+            X = rng.uniform(0, 1, size=(n, d))
+            y = np.sin(3 * X.sum(axis=1)) + rng.standard_normal(n)
+            data = EvalDataset(X, y)
+            got, want = fit_rbf(data, unit_box(d), gamma), svd_fit(data, unit_box(d), gamma)
+            assert got.lam == want.lam
+            assert got.coefficients.tobytes() == want.coefficients.tobytes()
 
     def test_constant_responses_fit(self):
         rng = np.random.default_rng(5)
@@ -384,9 +442,9 @@ class TestRelativeL2Error:
                 assert np.float64(got).tobytes() == np.float64(want).tobytes(), (n, n_mc)
 
     def test_peak_memory_does_not_grow_with_samples(self):
-        # In one pass, Hartmann6 holds three (100 000, 4, 6) temporaries (55
-        # MiB) beside the 4.6 MiB sample; a chunk of 8192 rows holds 4.5 MiB
-        # of them, beside the two 0.8 MiB value arrays and prediction's 1 MiB
+        # In one pass, Hartmann6 holds a (100 000, 4, 6) temporary (18 MiB)
+        # beside the 4.6 MiB sample; a chunk of 8192 rows holds 1.5 MiB of
+        # it, beside the two 0.8 MiB value arrays and prediction's 1 MiB
         # block.
         problem = make_benchmark("Hartmann6")
         X = problem.domain.sample_uniform(400, np.random.default_rng(0))
