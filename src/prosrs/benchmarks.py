@@ -274,7 +274,10 @@ def benchmark_objective(problem: BenchmarkProblem, seed: int) -> Objective:
     Its noise is the run's "noise" stream for ``seed``, drawn through one
     locked ``NoisyBatchEvaluator``: a run through this objective alone gives
     the same values as a run through ``NoisyBatchEvaluator(problem,
-    stream_seedseq(seed, "noise"))``.
+    stream_seedseq(seed, "noise"))``. That holds under the serial evaluator
+    only. The noise is drawn in call order, so under ``threaded_evaluator``
+    each draw goes to whichever point takes the lock first, and a run's
+    results can differ from one call to the next.
     """
     evaluator = NoisyBatchEvaluator(problem, stream_seedseq(seed, "noise"))
     lock = threading.Lock()

@@ -391,7 +391,7 @@ def cmd_cost_profile(spec: ExperimentSpec) -> int:
         raise EvaluationError(error)
     algo_col = header.index("algo_time_s")
     times = [row[algo_col] for row in rows if row[0] >= 1]
-    # Null for fewer than 70 rows, or for an early median of 0 (restart design rows).
+    # Null for fewer than 70 rows, or for an early median of 0.
     ratio = cost_ratio(times) if len(times) >= 70 else float("nan")
     summary = {
         "problem": spec.problem,
@@ -437,6 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
             setting = SETTINGS[name]
             p.add_argument(
                 setting.flag, dest=name, choices=setting.choices, help=setting.help,
+                default=argparse.SUPPRESS,
                 type=_int_list if setting.type is list else setting.type,
             )
         p.add_argument("--config", help="JSON config file")
@@ -490,11 +491,13 @@ def _spec_from_args(args) -> ExperimentSpec:
 
     values = {name: setting.default for name, setting in SETTINGS.items()}
     values.update(command_defaults)
+    # An absent flag sets no attribute, so a given value is a present key, and
+    # a file's null is a given value.
+    sources = (vars(args), overrides, file_values)
     for name in names:
         # Every given value is checked, a losing one too. A run parameter
         # leaves the block, so default_config does not get it twice.
-        given = (getattr(args, name), overrides.pop(name, None), file_values.get(name))
-        given = [_checked(name, v) for v in given if v is not None]
+        given = [_checked(name, source.pop(name)) for source in sources if name in source]
         if given:
             values[name] = given[0]
     if args.command in ("optimize", "cost-profile") and not values["problem"]:

@@ -12,9 +12,9 @@ node's box. Runs are bit-reproducible given the seed and a deterministic
 evaluator.
 
 Evaluators own the parallelism: they take a (k, d) batch and return k values
-in order. Per-iteration wall time is split into algorithm time and the
-evaluation barrier, so algorithm cost can be profiled independently of the
-objective's cost.
+in order. One clock, kept by the run's recorder, splits the wall time into the
+evaluation barriers and the algorithm's time between them, so algorithm cost
+can be profiled independently of the objective's cost.
 """
 
 from __future__ import annotations
@@ -52,8 +52,13 @@ class IterationLog:
     ``iteration`` is 0 for the initial design batches (which do not consume
     the iteration budget) and the 1-based loop index otherwise; design batches
     re-evaluated after a restart do consume the budget and carry their loop
-    index with event="doe". ``algo_time_s`` excludes the evaluation barrier,
-    which is reported separately as ``eval_time_s``.
+    index with event="doe". ``eval_time_s`` is the batch's evaluation
+    barrier. ``algo_time_s`` is the algorithm's time since the previous
+    barrier ended (for the first row, since the run began), so a design's
+    cost lands in its first row: the initial design's in the run's first
+    row, a restart's in the first design row after the restart. Over a run
+    the two columns add up to its wall time, except the bookkeeping after the
+    last barrier.
     """
 
     iteration: int
@@ -124,22 +129,29 @@ def threaded_evaluator(objective: Objective, max_workers: int | None = None) -> 
 
 
 class _Recorder:
-    """Tracks the global best, the log list, and evaluation counts."""
+    """Owns every measured fact of a run's logged batches: the log list, the
+    global best, the evaluation count, and one clock. The clock starts when
+    the recorder is made, at the start of a run, and restarts when each
+    evaluation barrier ends."""
 
     def __init__(self):
         self.logs = []
         self.best_x = None
         self.best_y = np.inf
         self.n_evaluations = 0
+        self.batch = None  # (X, y, algo_time_s, eval_time_s) of the last barrier
+        self.clock = time.perf_counter()
 
-    def evaluate(self, evaluator, X) -> tuple[np.ndarray, float]:
+    def evaluate(self, evaluator, X) -> np.ndarray:
+        """Evaluate a batch in one barrier, validate its responses, and hold
+        them with the barrier's timing for the next ``log``."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        t0 = time.perf_counter()
+        start = time.perf_counter()
         try:
             y = evaluator(X)
         except Exception as exc:
             raise EvaluationError(f"evaluator raised: {exc!r}", logs=self.logs) from exc
-        elapsed = time.perf_counter() - t0
+        end = time.perf_counter()
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if y.shape != (X.shape[0],):
             raise EvaluationError(
@@ -158,10 +170,19 @@ class _Recorder:
         if y[i] < self.best_y:
             self.best_y = float(y[i])
             self.best_x = X[i].copy()
-        return y, elapsed
+        self.batch = (X, y, start - self.clock, end - start)
+        self.clock = end
+        return y
 
-    def log(self, **fields):
-        self.logs.append(IterationLog(best_y_so_far=self.best_y, **fields))
+    def log(self, iteration, event, node_id, zoom_level, state_snapshot):
+        """Append the row of the batch last evaluated."""
+        X, y, algo_time, eval_time = self.batch
+        self.logs.append(
+            IterationLog(
+                iteration, event, node_id, zoom_level, state_snapshot,
+                X, y, self.best_y, algo_time, eval_time,
+            )
+        )
 
     def result(self, config: RunConfig) -> RunResult:
         return RunResult(
@@ -212,19 +233,8 @@ def run_prosrs(
     def design_step(iteration):
         """Evaluate the next pending design batch and record it into the root."""
         batch = pending.pop(0)
-        y, t_eval = rec.evaluate(evaluator, batch)
-        tree.record_batch(batch, y)
-        rec.log(
-            iteration=iteration,
-            event=EVENT_DOE,
-            node_id=tree.root.node_id,
-            zoom_level=0,
-            state_snapshot=config.s_init,
-            proposed_x=np.atleast_2d(batch),
-            proposed_y=y,
-            algo_time_s=0.0,
-            eval_time_s=t_eval,
-        )
+        tree.record_batch(batch, rec.evaluate(evaluator, batch))
+        rec.log(iteration, EVENT_DOE, tree.root.node_id, 0, config.s_init)
 
     # Initial design, outside the iteration budget (iteration = 0).
     while pending:
@@ -240,7 +250,6 @@ def run_prosrs(
         node, data = tree.current, tree.data
         state = node.state
 
-        t0 = time.perf_counter()
         model = fit_rbf(data, node.omega, state.gamma)
         candidates = generate_candidates(
             data,
@@ -252,14 +261,12 @@ def run_prosrs(
         )
         weights = weight_pattern(config.n_par, proposal_count)
         X_new = candidates[select_batch(candidates, model, data.X, weights)]
-        algo_time = time.perf_counter() - t0
         proposal_count += 1
 
         best_prior = float(data.y.min())
-        y_new, t_eval = rec.evaluate(evaluator, X_new)
+        y_new = rec.evaluate(evaluator, X_new)
         failed = is_failure(y_new, best_prior)
 
-        t0 = time.perf_counter()
         tree.record_batch(X_new, y_new)
         update_state(node, effective_n(tree.data, node.omega), failed, config)
 
@@ -279,19 +286,7 @@ def run_prosrs(
                 event = EVENT_ZOOM_IN
         if tree.maybe_zoom_out(rngs["zoomout"]):
             event = EVENT_ZOOM_OUT
-        algo_time += time.perf_counter() - t0
-
-        rec.log(
-            iteration=iteration,
-            event=event,
-            node_id=node.node_id,
-            zoom_level=node.zoom_level,
-            state_snapshot=state,
-            proposed_x=X_new,
-            proposed_y=y_new,
-            algo_time_s=algo_time,
-            eval_time_s=t_eval,
-        )
+        rec.log(iteration, event, node.node_id, node.zoom_level, state)
 
     return rec.result(config)
 
@@ -310,19 +305,6 @@ def run_random_search(
     rngs = derive_streams(config.seed)
     rec = _Recorder()
     for iteration in range(1, config.n_iterations + 1):
-        t0 = time.perf_counter()
-        X = objective.domain.sample_uniform(config.n_par, rngs["candidates"])
-        algo_time = time.perf_counter() - t0
-        y, t_eval = rec.evaluate(evaluator, X)
-        rec.log(
-            iteration=iteration,
-            event=EVENT_NORMAL,
-            node_id=0,
-            zoom_level=0,
-            state_snapshot=config.s_init,
-            proposed_x=X,
-            proposed_y=y,
-            algo_time_s=algo_time,
-            eval_time_s=t_eval,
-        )
+        rec.evaluate(evaluator, objective.domain.sample_uniform(config.n_par, rngs["candidates"]))
+        rec.log(iteration, EVENT_NORMAL, 0, 0, config.s_init)
     return rec.result(config)

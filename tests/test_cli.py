@@ -445,9 +445,11 @@ class TestCostProfile:
         assert summary["n_rows"] == 1
         assert summary["late_over_early_median_ratio"] is None
 
-    def test_zero_early_median_writes_null_ratio(self, tmp_path):
-        # Restarts make design rows, which log no algorithm time, the majority
-        # of rows 20-70, so the early median is 0 and the ratio undefined.
+    def test_restart_design_rows_log_algorithm_time(self, tmp_path):
+        # Restarts make design rows the majority of rows 20-70. Each design
+        # row logs the algorithm's time since the previous barrier, the first
+        # one after a restart the restart's design too, so the early median
+        # is positive and the ratio finite.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"config": {
             "c_fail": 1, "r_resolution": 0.9, "rho": 0.9, "sigma_crit": 0.9,
@@ -458,8 +460,14 @@ class TestCostProfile:
             "--config", cfg, "--out", tmp_path / "out",
         )
         assert code == 0
-        rows = loop_rows(tmp_path / "out" / "Dropwave2_prosrs_seed0.csv")
-        assert np.isnan(cost_ratio([float(row["algo_time_s"]) for row in rows]))
+        with open(tmp_path / "out" / "Dropwave2_prosrs_seed0.csv") as f:
+            all_rows = list(csv.DictReader(f))
+        rows = [row for row in all_rows if int(row["iteration"]) >= 1]
+        design = [row for row in all_rows if row["event"] == "doe"]
+        assert sum(row["event"] == "doe" for row in rows[19:70]) > 25
+        assert all(float(row["algo_time_s"]) > 0 for row in design)
+        ratio = cost_ratio([float(row["algo_time_s"]) for row in rows])
+        assert np.isfinite(ratio) and ratio > 0
 
         def reject(token):
             raise ValueError(f"not valid JSON: {token}")
@@ -467,7 +475,7 @@ class TestCostProfile:
         text = (tmp_path / "out" / "Dropwave2_prosrs_seed0_cost_summary.json").read_text()
         summary = json.loads(text, parse_constant=reject)
         assert summary["n_rows"] == 90
-        assert summary["late_over_early_median_ratio"] is None
+        assert summary["late_over_early_median_ratio"] == ratio
 
     def test_evaluator_failure_flushes_the_partial_log(self, tmp_path, capsys):
         code = run_cli(
@@ -533,6 +541,13 @@ class TestSettings:
             ("optimize", {"algo": "Random"}, "algo"),
             ("optimize", {"timing": True}, "timing"),
             ("optimize", {"timing": "wall"}, "timing"),
+            # A null is a given value, not an absent one.
+            ("optimize", {"seed": None, "repeats": None, "n_par": None}, "n_par"),
+            ("optimize", {"seed": None}, "seed"),
+            ("optimize", {"repeats": None}, "repeats"),
+            ("optimize", {"config": {"n_par": None}}, "n_par"),
+            ("bench-suite", {"config": {"n_iterations": None}}, "n_iterations"),
+            ("model-error", {"n_values": None}, "n_values"),
         ],
     )
     def test_file_values_are_checked_not_cast(

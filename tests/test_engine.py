@@ -1,9 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from prosrs import engine
 from prosrs.benchmarks import NoisyBatchEvaluator, benchmark_objective, make_benchmark
 from prosrs.engine import (
     EVENT_DOE,
+    EVENT_NORMAL,
     EVENT_RESTART,
     best_trajectory,
     is_failure,
@@ -318,3 +322,89 @@ class TestRandomSearch:
         result = run_random_search(obj, cfg)
         for log in result.logs:
             assert np.all(log.proposed_x >= -1.0) and np.all(log.proposed_x <= 1.0)
+
+
+class FakeClock:
+    """A clock the test moves: a read returns the time, then ticks it by 1/64 s.
+    All its readings are multiples of 1/64, so their sums are exact."""
+
+    TICK = 1 / 64
+
+    def __init__(self):
+        self.now = 0.0
+        self.barrier_ends = []
+
+    def __call__(self):
+        now = self.now
+        self.now += self.TICK
+        return now
+
+    def evaluator(self, objective, seconds):
+        """``serial_evaluator(objective)``, taking ``seconds`` per batch."""
+        serial = serial_evaluator(objective)
+
+        def evaluate(X):
+            self.now += seconds
+            self.barrier_ends.append(self.now)
+            return serial(X)
+
+        return evaluate
+
+
+class TestTiming:
+    """One clock, kept by the recorder, times every row of both runners: the
+    barrier, and the algorithm's time since the previous barrier ended."""
+
+    DESIGN_S = 8.0
+    EVAL_S = 1.0
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        clock = FakeClock()
+        monkeypatch.setattr(engine, "time", SimpleNamespace(perf_counter=clock))
+        design = engine.latin_hypercube_maximin
+
+        def slow_design(*args, **kwargs):
+            clock.now += self.DESIGN_S
+            return design(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "latin_hypercube_maximin", slow_design)
+        return clock
+
+    def check_partition(self, clock, logs, start):
+        # The rows add up to the span from the runner's start to the end of
+        # its last barrier, and each barrier is timed as the evaluator took.
+        assert sum(log.algo_time_s + log.eval_time_s for log in logs) == (
+            clock.barrier_ends[-1] - start
+        )
+        assert all(log.eval_time_s == self.EVAL_S + clock.TICK for log in logs)
+        assert all(log.algo_time_s > 0 for log in logs)
+
+    def test_prosrs_rows_partition_the_run_and_carry_design_costs(self, clock):
+        obj = sphere_objective()
+        cfg = default_config(
+            2, 1, n_iterations=30, seed=0, c_fail=1, r_resolution=0.9, rho=0.9,
+            sigma_crit=0.9, n_candidates_per_dim=20,
+        )
+        start = clock.now
+        result = run_prosrs(obj, cfg, clock.evaluator(obj, self.EVAL_S))
+        logs = result.logs
+        self.check_partition(clock, logs, start)
+        # A design's cost lands in its first row: the initial design's in the
+        # run's first row, a restart's in the first design row after it.
+        first_design_rows = [0] + [
+            i + 1 for i, log in enumerate(logs[:-1]) if log.event == EVENT_RESTART
+        ]
+        assert len(first_design_rows) >= 3
+        for i, log in enumerate(logs):
+            assert (log.algo_time_s >= self.DESIGN_S) == (i in first_design_rows)
+        assert all(logs[i].event == EVENT_DOE for i in first_design_rows)
+
+    def test_random_search_rows_partition_the_run(self, clock):
+        obj = sphere_objective()
+        start = clock.now
+        result = run_random_search(
+            obj, default_config(2, 3, n_iterations=7), clock.evaluator(obj, self.EVAL_S)
+        )
+        assert [log.event for log in result.logs] == [EVENT_NORMAL] * 7
+        self.check_partition(clock, result.logs, start)
