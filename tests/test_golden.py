@@ -2,7 +2,8 @@
 
 ``tests/golden/fingerprint.json`` records, for a few short seeded runs and
 one shorter run per benchmark problem, the event, node-id and zoom-level
-sequences and the exact ``repr`` of every proposed point and response; a
+sequences, the ridge parameter lambda of every surrogate fit and the exact
+``repr`` of every proposed point and response; a
 digest of the first design of every problem at several batch sizes over ten
 seeds; and the relative L2 error of three model-error trials. A refactor that claims to keep behaviour must keep this file
 byte-identical; a change that alters the numbers on purpose rewrites it with
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 import prosrs
-from prosrs import cli
+from prosrs import cli, engine
 from prosrs.benchmarks import BENCHMARK_NAMES
 from prosrs.problem import default_config, derive_streams, stream_seedseq
 
@@ -74,13 +75,26 @@ def run_fingerprint(
     config = prosrs.default_config(
         objective.dimension, n_par, n_iterations=iterations, seed=seed, **overrides
     )
-    logs = prosrs.run_prosrs(objective, config, evaluator).logs
+    lams = []
+
+    def recording_fit(*args, **kwargs):
+        model = fit_rbf(*args, **kwargs)
+        lams.append(float(model.lam))
+        return model
+
+    fit_rbf = engine.fit_rbf
+    engine.fit_rbf = recording_fit
+    try:
+        logs = prosrs.run_prosrs(objective, config, evaluator).logs
+    finally:
+        engine.fit_rbf = fit_rbf
     return {
         "events": [log.event for log in logs],
         "node_ids": [log.node_id for log in logs],
         "zoom_levels": [log.zoom_level for log in logs],
         "proposed_x": [_reprs(log.proposed_x) for log in logs],
         "proposed_y": [_reprs(log.proposed_y) for log in logs],
+        "lams": lams,
     }
 
 
