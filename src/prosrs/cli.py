@@ -2,18 +2,18 @@
 
 Subcommands:
 
-* ``optimize``     — run the optimizer (or the random-search baseline) on a
-                     benchmark or plug-in objective, one run per repeat, and
-                     write per-run CSV logs, per-run JSON summaries, and an
-                     aggregate mean/std curve.
-* ``bench-suite``  — ``optimize`` across a list of benchmarks (default: all),
-                     with timing columns written as 0.0 unless ``--timing
-                     real``, so outputs are byte-reproducible.
-* ``model-error``  — the surrogate regression study: fit unweighted models on
-                     Latin hypercube samples of varying size and report the
-                     Monte-Carlo relative L2 error against the true mean.
-* ``cost-profile`` — one ``optimize`` run, written as the same per-run CSV
-                     log, and a late/early cost-ratio summary of its loop rows.
+* ``optimize``    — run the optimizer (or the random-search baseline) on a
+                    benchmark or plug-in objective, one run per repeat, and
+                    write per-run CSV logs, per-run JSON summaries, and an
+                    aggregate mean/std curve. With wall times (``--timing
+                    real``, the default) each summary also holds the run's
+                    late/early cost ratio of its loop rows' algorithm times.
+* ``bench-suite`` — ``optimize`` across a list of benchmarks (default: all),
+                    with timing columns written as 0.0 unless ``--timing
+                    real``, so outputs are byte-reproducible.
+* ``model-error`` — the surrogate regression study: fit unweighted models on
+                    Latin hypercube samples of varying size and report the
+                    Monte-Carlo relative L2 error against the true mean.
 
 ``optimize`` and ``bench-suite`` take ``--jobs K`` (default 1): the (problem,
 seed) repeats then run on K spawned worker processes, and this process writes
@@ -146,6 +146,20 @@ def _load_problem(name: str, seed: int):
     return make_benchmark(name)
 
 
+def cost_ratio(algo_times) -> float:
+    """Median algorithm time of the last 50 rows over the median of rows 20-70;
+    NaN below 70 rows, or for an early median of 0."""
+    algo_times = np.asarray(algo_times, dtype=float)
+    if algo_times.size < 70:
+        return float("nan")
+    late = algo_times[-50:]
+    early = algo_times[19:70]
+    early_med = float(np.median(early))
+    if early_med == 0.0:
+        return float("nan")
+    return float(np.median(late)) / early_med
+
+
 def _run_rows(logs, true_mean, real_timing: bool):
     """CSV rows for a run: one per logged batch. With a benchmark's
     ``true_mean``, the objective column is the true mean of the best point so
@@ -201,6 +215,10 @@ def _run_repeat(spec: ExperimentSpec, problem_name: str, seed: int):
     column is the true mean of the best point so far; a plug-in runs through
     a serial evaluator, and its objective column is the best noisy response.
 
+    With wall times (``spec.timing`` "real") the summary holds
+    ``late_over_early_median_ratio``, the ``cost_ratio`` of the loop rows'
+    (iteration >= 1) algorithm times, null where that is NaN.
+
     Returns ``(header, rows, summary, error)``. When the evaluator fails, the
     rows are the partial log, ``summary`` is None and ``error`` is the
     EvaluationError's message; otherwise ``error`` is None. A module-level
@@ -234,6 +252,9 @@ def _run_repeat(spec: ExperimentSpec, problem_name: str, seed: int):
         "n_evaluations": int(result.n_evaluations),
         "config": asdict(result.config_echo),
     }
+    if real_timing:
+        ratio = cost_ratio([log.algo_time_s for log in result.logs if log.iteration >= 1])
+        summary["late_over_early_median_ratio"] = ratio if np.isfinite(ratio) else None
     return header, _run_rows(result.logs, true_mean, real_timing), summary, None
 
 
@@ -372,52 +393,19 @@ def cmd_model_error(spec: ExperimentSpec) -> int:
     return EXIT_OK
 
 
-def cost_ratio(algo_times) -> float:
-    """Median algorithm time of the last 50 rows over the median of rows 20-70."""
-    algo_times = np.asarray(algo_times, dtype=float)
-    late = algo_times[-50:]
-    early = algo_times[19:70]
-    early_med = float(np.median(early))
-    if early_med == 0.0:
-        return float("nan")
-    return float(np.median(late)) / early_med
-
-
-def cmd_cost_profile(spec: ExperimentSpec) -> int:
-    header, rows, _, error = _run_repeat(spec, spec.problem, spec.seed)
-    base = _run_stem(Path(spec.out), spec.problem, spec, spec.seed)
-    _write_csv(base.with_suffix(".csv"), header, rows)
-    if error is not None:
-        raise EvaluationError(error)
-    algo_col = header.index("algo_time_s")
-    times = [row[algo_col] for row in rows if row[0] >= 1]
-    # Null for fewer than 70 rows, or for an early median of 0.
-    ratio = cost_ratio(times) if len(times) >= 70 else float("nan")
-    summary = {
-        "problem": spec.problem,
-        "algo": spec.algo,
-        "seed": spec.seed,
-        "n_rows": len(times),
-        "late_over_early_median_ratio": ratio if np.isfinite(ratio) else None,
-    }
-    _write_json(Path(str(base) + "_cost_summary.json"), summary)
-    return EXIT_OK
-
-
-_RUN_SETTINGS = ("problem", "algo", "n_par", "n_iterations", "seed", "out")
+_RUN_SETTINGS = (
+    "problem", "algo", "n_par", "n_iterations", "seed", "out", "repeats", "jobs", "timing",
+)
 
 # Each command: its handler, its help, the SETTINGS it reads, and its own
 # defaults for them. bench-suite writes timing columns as 0.0, so identically
 # seeded suites are byte-identical; model-error averages ten repeats.
-# cost-profile does not read timing: it always writes wall times.
 COMMANDS = {
-    "optimize": (cmd_optimize, "run an optimization experiment",
-                 (*_RUN_SETTINGS, "repeats", "jobs", "timing"), {}),
-    "bench-suite": (cmd_bench_suite, "optimize across benchmarks",
-                    (*_RUN_SETTINGS, "repeats", "jobs", "timing"), {"timing": "zero"}),
+    "optimize": (cmd_optimize, "run an optimization experiment", _RUN_SETTINGS, {}),
+    "bench-suite": (cmd_bench_suite, "optimize across benchmarks", _RUN_SETTINGS,
+                    {"timing": "zero"}),
     "model-error": (cmd_model_error, "surrogate regression study",
                     ("problem", "repeats", "seed", "out", "n_values", "n_mc"), {"repeats": 10}),
-    "cost-profile": (cmd_cost_profile, "per-iteration timing profile", _RUN_SETTINGS, {}),
 }
 
 
@@ -500,7 +488,7 @@ def _spec_from_args(args) -> ExperimentSpec:
         given = [_checked(name, source.pop(name)) for source in sources if name in source]
         if given:
             values[name] = given[0]
-    if args.command in ("optimize", "cost-profile") and not values["problem"]:
+    if args.command == "optimize" and not values["problem"]:
         raise ValueError("--problem is required")
     return ExperimentSpec(config_overrides=overrides, **values)
 

@@ -83,10 +83,10 @@ def select_batch(points, model: RbfSurrogate, evaluated, weights) -> list:
     score is the min-max scaled negated distance to the nearest point among
     the evaluated points and the proposals already picked (both scores
     identically 0 when their range is degenerate). The candidate minimizing
-    w * response + (1 - w) * distance is selected (ties: lowest index),
-    removed from the pool, and the nearest-distances are refreshed. Returns
-    the row indices of the picks, in weight order. ``points`` may come in
-    any layout; it is not copied.
+    w * response + (1 - w) * distance is selected (ties: lowest index) and
+    removed from the pool; when another weight follows, the nearest distances
+    are refreshed with the pick. Returns the row indices of the picks, in
+    weight order. ``points`` may come in any layout; it is not copied.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     evaluated = np.atleast_2d(np.asarray(evaluated, dtype=float))
@@ -106,11 +106,12 @@ def select_batch(points, model: RbfSurrogate, evaluated, weights) -> list:
     active = np.ones(t, dtype=bool)
     picked = []
     for w in weights:
+        if picked:
+            dmin = _kernels.update_min_dists(dmin, points, points[picked[-1]])
         idx = np.flatnonzero(active)
         # Negation is exact: the distance score is (max - d) / (max - min).
         score = w * _min_max_scaled(g[idx]) + (1.0 - w) * _min_max_scaled(-dmin[idx])
         choice = idx[int(np.argmin(score))]
         picked.append(int(choice))
         active[choice] = False
-        dmin = _kernels.update_min_dists(dmin, points, points[choice])
     return picked

@@ -410,19 +410,18 @@ def loop_rows(path):
 
 
 class TestCostProfile:
-    """cost-profile writes the standard run CSV and summarizes its loop rows."""
+    """optimize's timed run summaries hold the late/early cost ratio of the
+    run CSV's loop rows."""
 
     def test_ratio_reported_for_long_runs(self, tmp_path):
         code = run_cli(
-            "cost-profile", "--problem", "Rastrigin2", "--n-par", "2",
+            "optimize", "--problem", "Rastrigin2", "--n-par", "2",
             "--iterations", "75", "--out", tmp_path,
         )
         assert code == 0
         rows = loop_rows(tmp_path / "Rastrigin2_prosrs_seed0.csv")
         assert len(rows) == 75
-        summary = json.loads(
-            (tmp_path / "Rastrigin2_prosrs_seed0_cost_summary.json").read_text()
-        )
+        summary = json.loads((tmp_path / "Rastrigin2_prosrs_seed0.json").read_text())
         assert summary["late_over_early_median_ratio"] > 0
         assert summary["late_over_early_median_ratio"] == cost_ratio(
             [float(row["algo_time_s"]) for row in rows]
@@ -430,19 +429,18 @@ class TestCostProfile:
 
     def test_single_iteration_single_row(self, tmp_path):
         code = run_cli(
-            "cost-profile", "--problem", "Rastrigin2", "--iterations", "1",
+            "optimize", "--problem", "Rastrigin2", "--iterations", "1",
             "--out", tmp_path,
         )
         assert code == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "Rastrigin2_prosrs_seed0.csv", "Rastrigin2_prosrs_seed0_cost_summary.json",
+            "Rastrigin2_prosrs_aggregate.csv", "Rastrigin2_prosrs_seed0.csv",
+            "Rastrigin2_prosrs_seed0.json",
         ]
         assert read_lines(tmp_path / "Rastrigin2_prosrs_seed0.csv")[0] == RUN_HEADER
         assert len(loop_rows(tmp_path / "Rastrigin2_prosrs_seed0.csv")) == 1
-        summary = json.loads(
-            (tmp_path / "Rastrigin2_prosrs_seed0_cost_summary.json").read_text()
-        )
-        assert summary["n_rows"] == 1
+        summary = json.loads((tmp_path / "Rastrigin2_prosrs_seed0.json").read_text())
+        assert summary["config"]["n_iterations"] == 1
         assert summary["late_over_early_median_ratio"] is None
 
     def test_restart_design_rows_log_algorithm_time(self, tmp_path):
@@ -456,7 +454,7 @@ class TestCostProfile:
             "n_candidates_per_dim": 20,
         }}))
         code = run_cli(
-            "cost-profile", "--problem", "Dropwave2", "--n-par", "1", "--iterations", "90",
+            "optimize", "--problem", "Dropwave2", "--n-par", "1", "--iterations", "90",
             "--config", cfg, "--out", tmp_path / "out",
         )
         assert code == 0
@@ -464,6 +462,7 @@ class TestCostProfile:
             all_rows = list(csv.DictReader(f))
         rows = [row for row in all_rows if int(row["iteration"]) >= 1]
         design = [row for row in all_rows if row["event"] == "doe"]
+        assert len(rows) == 90
         assert sum(row["event"] == "doe" for row in rows[19:70]) > 25
         assert all(float(row["algo_time_s"]) > 0 for row in design)
         ratio = cost_ratio([float(row["algo_time_s"]) for row in rows])
@@ -472,14 +471,14 @@ class TestCostProfile:
         def reject(token):
             raise ValueError(f"not valid JSON: {token}")
 
-        text = (tmp_path / "out" / "Dropwave2_prosrs_seed0_cost_summary.json").read_text()
+        text = (tmp_path / "out" / "Dropwave2_prosrs_seed0.json").read_text()
         summary = json.loads(text, parse_constant=reject)
-        assert summary["n_rows"] == 90
+        assert summary["config"]["n_iterations"] == 90
         assert summary["late_over_early_median_ratio"] == ratio
 
     def test_evaluator_failure_flushes_the_partial_log(self, tmp_path, capsys):
         code = run_cli(
-            "cost-profile", "--problem", "plugin_objectives:broken",
+            "optimize", "--problem", "plugin_objectives:broken",
             "--n-par", "2", "--iterations", "8", "--out", tmp_path,
         )
         assert code == 3
@@ -487,7 +486,31 @@ class TestCostProfile:
         partial = read_lines(tmp_path / "plugin_objectives_broken_prosrs_seed0.csv")
         assert partial[0] == RUN_HEADER.replace("true_f_best", "noisy_y_best")
         assert len(partial) > 1  # batches before the NaN were flushed
-        assert not (tmp_path / "plugin_objectives_broken_prosrs_seed0_cost_summary.json").exists()
+        assert not (tmp_path / "plugin_objectives_broken_prosrs_seed0.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, has_ratio",
+        [
+            (("optimize", "--timing", "zero"), False),
+            (("bench-suite",), False),
+            (("bench-suite", "--timing", "real"), True),
+        ],
+        ids=["optimize-zero", "bench-suite-default", "bench-suite-real"],
+    )
+    def test_ratio_key_only_with_wall_times(self, tmp_path, argv, has_ratio):
+        code = run_cli(*argv, "--problem", "Dropwave2", "--iterations", "2", "--out", tmp_path)
+        assert code == 0
+        [path] = tmp_path.rglob("Dropwave2_prosrs_seed0.json")
+        summary = json.loads(path.read_text())
+        assert ("late_over_early_median_ratio" in summary) == has_ratio
+        assert summary.get("late_over_early_median_ratio") is None
+
+    def test_cost_profile_command_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("cost-profile", "--problem", "Rastrigin2", "--out", tmp_path / "out")
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def run_unevaluated(tmp_path, monkeypatch, command, file_values):
@@ -514,9 +537,9 @@ class TestSettings:
             ("optimize", {"iteratons": 2}, "iteratons"),
             ("optimize", {"repeat": 3}, "repeat"),
             ("optimize", {"n_mc": 5}, "n_mc"),
-            ("cost-profile", {"jobs": 2}, "jobs"),
+            ("bench-suite", {"n_mc": 5}, "n_mc"),
             ("model-error", {"config": {"rho": 0.5}}, "config"),
-            ("cost-profile", {"timing": "zero"}, "timing"),
+            ("bench-suite", {"n_values": [10]}, "n_values"),
             ("model-error", {"timing": "real"}, "timing"),
         ],
     )
@@ -563,18 +586,17 @@ class TestSettings:
             ("model-error", "--n-par", "4"),
             ("model-error", "--iterations", "5"),
             ("model-error", "--algo", "random"),
-            ("cost-profile", "--repeats", "2"),
             ("model-error", "--timing", "zero"),
-            ("cost-profile", "--timing", "zero"),
+            ("bench-suite", "--n-values", "10"),
         ],
         ids=["model-error-n-par", "model-error-iterations", "model-error-algo",
-             "cost-profile-repeats", "model-error-timing", "cost-profile-timing"],
+             "model-error-timing", "bench-suite-n-values"],
     )
     def test_flag_the_command_does_not_read_is_rejected(self, tmp_path, capsys, argv):
         # Cheap settings, so a parser that took the flag would finish quickly.
         cheap = {
             "model-error": ("--n-values", "2", "--n-mc", "1", "--repeats", "1"),
-            "cost-profile": ("--iterations", "1"),
+            "bench-suite": ("--iterations", "1"),
         }[argv[0]]
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv, "--problem", "Dropwave2", *cheap, "--out", tmp_path / "out")

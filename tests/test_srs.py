@@ -216,6 +216,23 @@ class TestSelectBatch:
         for pool in (np.asfortranarray(pts), np.repeat(pts, 2, axis=0)[::2]):
             assert select_batch(pool, model, evaluated, weight_pattern(8)) == want
 
+    @pytest.mark.parametrize("n_par", [1, 2, 5])
+    def test_distances_are_refreshed_only_before_a_further_pick(self, monkeypatch, n_par):
+        from prosrs import _kernels
+
+        refreshes = []
+        update = _kernels.update_min_dists
+
+        def counting_update(*args):
+            refreshes.append(args)
+            return update(*args)
+
+        monkeypatch.setattr(_kernels, "update_min_dists", counting_update)
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(0, 1, size=(40, 2))
+        select_batch(pts, toy_model(11), rng.uniform(0, 1, size=(3, 2)), weight_pattern(n_par))
+        assert len(refreshes) == n_par - 1
+
     def test_weights_must_be_a_nonempty_vector(self):
         pts = np.random.default_rng(0).uniform(0, 1, size=(10, 2))
         for weights in (np.array([]), np.array([[0.3, 1.0]]), np.float64(0.5)):
