@@ -52,15 +52,9 @@ from pathlib import Path
 import numpy as np
 
 from ._kernels import one_blas_thread
-from .benchmarks import (
-    BENCHMARK_NAMES,
-    BenchmarkProblem,
-    NoisyBatchEvaluator,
-    benchmark_objective,
-    make_benchmark,
-)
+from .benchmarks import BENCHMARK_NAMES, BenchmarkProblem, benchmark_objective, make_benchmark
 from .doe import latin_hypercube_maximin
-from .engine import best_trajectory, run_prosrs, run_random_search, serial_evaluator
+from .engine import run_prosrs, run_random_search
 from .problem import (
     EvalDataset,
     EvaluationError,
@@ -68,7 +62,6 @@ from .problem import (
     Objective,
     RunConfig,
     default_config,
-    stream_seedseq,
 )
 from .surrogate import fit_rbf, relative_l2_error
 
@@ -161,12 +154,13 @@ def cost_ratio(algo_times) -> float:
 
 
 def _run_rows(logs, true_mean, real_timing: bool):
-    """CSV rows for a run: one per logged batch. With a benchmark's
-    ``true_mean``, the objective column is the true mean of the best point so
-    far, from one call; otherwise it is the best noisy response."""
-    xs, ys = best_trajectory(logs)
+    """CSV rows for a run: one per logged batch, each read from its row's best
+    pair. With a benchmark's ``true_mean``, the objective column is the true
+    mean of the best point so far, from one call; otherwise it is the best
+    noisy response."""
+    ys = [log.best_y_so_far for log in logs]
     if true_mean is not None and logs:
-        ys = true_mean(xs)
+        ys = true_mean(np.array([log.best_x_so_far for log in logs]))
     return [
         [
             log.iteration,
@@ -211,9 +205,12 @@ def _aggregate_rows(per_run_rows):
 def _run_repeat(spec: ExperimentSpec, problem_name: str, seed: int):
     """Run one (problem, seed) repeat and return what its files hold.
 
-    A benchmark runs through its noisy batch evaluator, and its objective
-    column is the true mean of the best point so far; a plug-in runs through
-    a serial evaluator, and its objective column is the best noisy response.
+    The run evaluates through the problem's Objective alone, one point at a
+    time under the runner's serial evaluator: for a benchmark that is
+    ``benchmark_objective(problem, seed)``, whose noise is the seed's "noise"
+    stream, and its objective column is the true mean of the best point so
+    far; a plug-in is its own Objective, and its objective column is the best
+    noisy response.
 
     With wall times (``spec.timing`` "real") the summary holds
     ``late_over_early_median_ratio``, the ``cost_ratio`` of the loop rows'
@@ -227,11 +224,9 @@ def _run_repeat(spec: ExperimentSpec, problem_name: str, seed: int):
     problem = _load_problem(problem_name, seed)
     if isinstance(problem, BenchmarkProblem):
         objective = benchmark_objective(problem, seed)
-        evaluator = NoisyBatchEvaluator(problem, stream_seedseq(seed, "noise"))
         column, true_mean = "true_f_best", problem.true_mean
     else:
-        objective, evaluator = problem, serial_evaluator(problem)
-        column, true_mean = "noisy_y_best", None
+        objective, column, true_mean = problem, "noisy_y_best", None
     header = [*RUN_CSV_COMMON, column, *RUN_CSV_TAIL]
     real_timing = spec.timing == "real"
     config = default_config(
@@ -240,7 +235,7 @@ def _run_repeat(spec: ExperimentSpec, problem_name: str, seed: int):
     )
     runner = run_prosrs if spec.algo == "prosrs" else run_random_search
     try:
-        result = runner(objective, config, evaluator)
+        result = runner(objective, config)
     except EvaluationError as exc:
         return header, _run_rows(exc.logs, true_mean, real_timing), None, str(exc)
     summary = {

@@ -52,7 +52,11 @@ class IterationLog:
     ``iteration`` is 0 for the initial design batches (which do not consume
     the iteration budget) and the 1-based loop index otherwise; design batches
     re-evaluated after a restart do consume the budget and carry their loop
-    index with event="doe". ``eval_time_s`` is the batch's evaluation
+    index with event="doe". ``best_x_so_far`` and ``best_y_so_far`` are the
+    run's best pair after this batch: the first point to reach the strict
+    running minimum of the responses. The point is the recorder's read-only
+    copy, shared by every row until the next improvement, and the last row's
+    pair is the result's. ``eval_time_s`` is the batch's evaluation
     barrier. ``algo_time_s`` is the algorithm's time since the previous
     barrier ended (for the first row, since the run began), so a design's
     cost lands in its first row: the initial design's in the run's first
@@ -68,6 +72,7 @@ class IterationLog:
     state_snapshot: ExploitState
     proposed_x: np.ndarray
     proposed_y: np.ndarray
+    best_x_so_far: np.ndarray
     best_y_so_far: float
     algo_time_s: float
     eval_time_s: float
@@ -83,20 +88,6 @@ class RunResult:
     logs: list
     n_evaluations: int
     config_echo: RunConfig
-
-
-def best_trajectory(logs) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative best (point, response) after each log row."""
-    xs, ys = [], []
-    best_x, best_y = None, np.inf
-    for log in logs:
-        i = int(np.argmin(log.proposed_y))
-        if log.proposed_y[i] < best_y:
-            best_y = float(log.proposed_y[i])
-            best_x = log.proposed_x[i]
-        xs.append(best_x)
-        ys.append(best_y)
-    return np.asarray(xs), np.asarray(ys)
 
 
 def is_failure(proposed_y, best_prior_y: float) -> bool:
@@ -170,6 +161,7 @@ class _Recorder:
         if y[i] < self.best_y:
             self.best_y = float(y[i])
             self.best_x = X[i].copy()
+            self.best_x.flags.writeable = False
         self.batch = (X, y, start - self.clock, end - start)
         self.clock = end
         return y
@@ -180,7 +172,7 @@ class _Recorder:
         self.logs.append(
             IterationLog(
                 iteration, event, node_id, zoom_level, state_snapshot,
-                X, y, self.best_y, algo_time, eval_time,
+                X, y, self.best_x, self.best_y, algo_time, eval_time,
             )
         )
 

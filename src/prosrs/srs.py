@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels
 from .problem import BoxDomain, EvalDataset, ExploitState, clip_to_domain
-from .surrogate import RbfSurrogate, predict_batch
+from .surrogate import RbfSurrogate, min_max_scaled, predict_batch
 
 
 def weight_pattern(n_par: int, iteration_index: int = 0) -> np.ndarray:
@@ -66,14 +66,6 @@ def generate_candidates(
     return pts
 
 
-def _min_max_scaled(v: np.ndarray) -> np.ndarray:
-    """``(v - min) / (max - min)``, identically 0 when the range is degenerate."""
-    lo, hi = v.min(), v.max()
-    if hi > lo:
-        return (v - lo) / (hi - lo)
-    return np.zeros_like(v)
-
-
 def select_batch(points, model: RbfSurrogate, evaluated, weights) -> list:
     """Pick one row of ``points`` per weight, scoring response against spread.
 
@@ -110,7 +102,7 @@ def select_batch(points, model: RbfSurrogate, evaluated, weights) -> list:
             dmin = _kernels.update_min_dists(dmin, points, points[picked[-1]])
         idx = np.flatnonzero(active)
         # Negation is exact: the distance score is (max - d) / (max - min).
-        score = w * _min_max_scaled(g[idx]) + (1.0 - w) * _min_max_scaled(-dmin[idx])
+        score = w * min_max_scaled(g[idx]) + (1.0 - w) * min_max_scaled(-dmin[idx])
         choice = idx[int(np.argmin(score))]
         picked.append(int(choice))
         active[choice] = False

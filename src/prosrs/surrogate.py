@@ -69,18 +69,19 @@ class RbfSurrogate:
         object.__setattr__(self, "coefficients", coefficients)
 
 
-def normalized_responses(y: np.ndarray) -> np.ndarray:
-    """Map responses to [0, 1]; all zeros when the responses are constant."""
-    y = np.asarray(y, dtype=float)
-    lo, hi = y.min(), y.max()
-    if hi == lo:
-        return np.zeros_like(y)
-    return (y - lo) / (hi - lo)
+def min_max_scaled(v: np.ndarray) -> np.ndarray:
+    """``(v - min) / (max - min)``, identically 0 when the range is degenerate
+    (constant, or NaN)."""
+    v = np.asarray(v, dtype=float)
+    lo, hi = v.min(), v.max()
+    if hi > lo:
+        return (v - lo) / (hi - lo)
+    return np.zeros_like(v)
 
 
 def response_weights(y: np.ndarray, gamma: float) -> np.ndarray:
     """Per-point loss weights exp(gamma * yhat); all ones for gamma = 0."""
-    return np.exp(gamma * normalized_responses(y))
+    return np.exp(gamma * min_max_scaled(y))
 
 
 def fit_rbf(data: EvalDataset, domain: BoxDomain, gamma: float) -> RbfSurrogate:

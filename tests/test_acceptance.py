@@ -20,7 +20,7 @@ from prosrs.benchmarks import (
     make_benchmark,
 )
 from prosrs.cli import cost_ratio, main as cli_main, model_error_trial
-from prosrs.engine import best_trajectory, run_prosrs, run_random_search
+from prosrs.engine import run_prosrs, run_random_search
 from prosrs.problem import (
     BoxDomain,
     EvalDataset,
@@ -230,10 +230,9 @@ def test_criterion_06_desk_scale_optimization_performance():
     for seed in range(20):
         for algo in curves:
             res = benchmark_run(camel, algo, seed, n_par=4, n_iterations=n_iter)
-            xs, _ = best_trajectory(res.logs)
             curve = {}
-            for log, x in zip(res.logs, xs):
-                curve[log.iteration] = float(camel.true_mean(x))
+            for log in res.logs:
+                curve[log.iteration] = float(camel.true_mean(log.best_x_so_far))
             curves[algo].append([curve[k] for k in range(1, n_iter + 1)])
     med_pro = np.median(np.array(curves["prosrs"]), axis=0) - f_min
     med_rnd = np.median(np.array(curves["random"]), axis=0) - f_min

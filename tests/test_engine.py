@@ -9,7 +9,6 @@ from prosrs.engine import (
     EVENT_DOE,
     EVENT_NORMAL,
     EVENT_RESTART,
-    best_trajectory,
     is_failure,
     run_prosrs,
     run_random_search,
@@ -271,7 +270,8 @@ class TestRunProsrs:
         obj = sphere_objective()
         cfg = default_config(2, 4, n_iterations=10, seed=4)
         result = run_prosrs(obj, cfg)
-        xs, ys = best_trajectory(result.logs)
+        xs = [log.best_x_so_far for log in result.logs]
+        ys = [log.best_y_so_far for log in result.logs]
         assert ys[-1] == result.y_best
         assert np.array_equal(xs[-1], result.x_best)
         assert all(b2 <= b1 for b1, b2 in zip(ys, ys[1:]))
@@ -322,6 +322,55 @@ class TestRandomSearch:
         result = run_random_search(obj, cfg)
         for log in result.logs:
             assert np.all(log.proposed_x >= -1.0) and np.all(log.proposed_x <= 1.0)
+
+
+def running_best(logs):
+    """Oracle: the best pair after each row, the first point to reach the
+    strict running minimum of the responses (a tie keeps the earlier point)."""
+    best_x, best_y, out = None, np.inf, []
+    for log in logs:
+        for x, y in zip(log.proposed_x, log.proposed_y):
+            if y < best_y:
+                best_x, best_y = x, y
+        out.append((best_x, best_y))
+    return out
+
+
+@pytest.mark.parametrize("runner", [run_prosrs, run_random_search])
+def test_rows_carry_the_running_best_point(runner):
+    def assert_rows_carry_running_best(logs):
+        for log, (x, y) in zip(logs, running_best(logs), strict=True):
+            assert log.best_y_so_far == y
+            np.testing.assert_array_equal(log.best_x_so_far, x)
+            assert not log.best_x_so_far.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                log.best_x_so_far[0] = 0.0
+
+    problem = make_benchmark("Dropwave2")
+    cfg = default_config(2, 2, n_iterations=80, seed=3, c_fail=1, r_resolution=0.2)
+    result = runner(benchmark_objective(problem, 3), cfg)
+    if runner is run_prosrs:
+        assert any(log.event == EVENT_RESTART for log in result.logs)
+    assert_rows_carry_running_best(result.logs)
+    assert result.logs[-1].best_y_so_far == result.y_best
+    np.testing.assert_array_equal(result.logs[-1].best_x_so_far, result.x_best)
+
+    # Responses rounded down to quarters tie often; the tenth barrier fails.
+    calls = []
+
+    def quarters_then_fail(X):
+        calls.append(len(X))
+        if len(calls) == 10:
+            raise RuntimeError("evaluator down")
+        return np.floor(4.0 * problem.true_mean(X)) / 4.0
+
+    with pytest.raises(EvaluationError) as err:
+        runner(Objective(2, problem.domain, lambda x: 0.0), cfg, quarters_then_fail)
+    logs = err.value.logs
+    assert len(logs) == 9
+    ys = np.concatenate([log.proposed_y for log in logs])
+    assert np.any(ys[1:] == np.minimum.accumulate(ys)[:-1])  # a point ties the best so far
+    assert_rows_carry_running_best(logs)
 
 
 class FakeClock:

@@ -11,7 +11,7 @@ from prosrs.surrogate import (
     MC_VALUES_PER_POINT,
     RbfSurrogate,
     fit_rbf,
-    normalized_responses,
+    min_max_scaled,
     predict_batch,
     relative_l2_error,
     response_weights,
@@ -48,7 +48,7 @@ def multiquadric(r):
 class TestWeights:
     def test_constant_responses_give_unit_weights(self):
         y = np.full(5, 3.0)
-        np.testing.assert_array_equal(normalized_responses(y), np.zeros(5))
+        np.testing.assert_array_equal(min_max_scaled(y), np.zeros(5))
         np.testing.assert_array_equal(response_weights(y, -2.0), np.ones(5))
 
     def test_gamma_zero_gives_unit_weights(self):
