@@ -18,7 +18,6 @@ from .doe import latin_hypercube_maximin
 from .engine import (
     IterationLog,
     RunResult,
-    is_failure,
     run_prosrs,
     run_random_search,
     serial_evaluator,
@@ -46,13 +45,7 @@ from .surrogate import (
     predict_batch,
     relative_l2_error,
 )
-from .zoomtree import (
-    ZoomNode,
-    ZoomTree,
-    effective_n,
-    restart_condition,
-    update_state,
-)
+from .zoomtree import ZoomNode, ZoomTree
 
 __version__ = "0.1.0"
 
@@ -75,20 +68,16 @@ __all__ = [
     "clip_to_domain",
     "default_config",
     "derive_streams",
-    "effective_n",
     "fit_rbf",
     "generate_candidates",
-    "is_failure",
     "latin_hypercube_maximin",
     "make_benchmark",
     "predict_batch",
     "relative_l2_error",
-    "restart_condition",
     "run_prosrs",
     "run_random_search",
     "select_batch",
     "serial_evaluator",
     "threaded_evaluator",
-    "update_state",
     "weight_pattern",
 ]

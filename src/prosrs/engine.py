@@ -2,14 +2,14 @@
 
 The main loop bootstraps from a space-filling design, then repeats: fit the
 weighted RBF surrogate on the current node's data, propose a batch, evaluate
-it in one parallel barrier, update the exploitation schedule, and manage the
-zoom tree (zoom in when the spread parameter crosses its critical value,
-restart from a fresh design when the would-be child is finer than the
-resolution threshold, occasionally zoom out). The evaluations live on the
-tree: ``tree.archive`` holds every one since the last restart, and
-``tree.data``, the current node's data, is that archive restricted to the
-node's box. Runs are bit-reproducible given the seed and a deterministic
-evaluator.
+it in one parallel barrier, hand it to the zoom tree, and log the move the
+tree reports. ``ZoomTree.advance`` owns every decision after the barrier:
+whether the batch failed, the exploitation schedule, zooming in, restarting
+and zooming out. The loop's one response to a restart is to evaluate a fresh
+design. The evaluations live on the tree: ``tree.archive`` holds every one
+since the last restart, and ``tree.data``, the current node's data, is that
+archive restricted to the node's box. Runs are bit-reproducible given the
+seed and a deterministic evaluator.
 
 Evaluators own the parallelism: they take a (k, d) batch and return k values
 in order. One clock, kept by the run's recorder, splits the wall time into the
@@ -34,15 +34,11 @@ from .problem import (
     RunConfig,
     derive_streams,
 )
-from .srs import best_fit_index, generate_candidates, select_batch, weight_pattern
+from .srs import generate_candidates, select_batch, weight_pattern
 from .surrogate import fit_rbf
-from .zoomtree import ZoomTree, effective_n, restart_condition, update_state
+from .zoomtree import EVENT_NORMAL, EVENT_RESTART, ZoomTree
 
 EVENT_DOE = "doe"
-EVENT_NORMAL = "normal"
-EVENT_ZOOM_IN = "zoom_in"
-EVENT_ZOOM_OUT = "zoom_out"
-EVENT_RESTART = "restart"
 
 
 @dataclass(frozen=True)
@@ -88,14 +84,6 @@ class RunResult:
     logs: list
     n_evaluations: int
     config_echo: RunConfig
-
-
-def is_failure(proposed_y, best_prior_y: float) -> bool:
-    """True iff the batch did not strictly improve the prior best response."""
-    proposed_y = np.asarray(proposed_y, dtype=float)
-    if proposed_y.size == 0:
-        raise ValueError("proposed_y must be nonempty")
-    return bool(proposed_y.min() >= best_prior_y)
 
 
 def serial_evaluator(objective: Objective) -> Callable:
@@ -255,29 +243,9 @@ def run_prosrs(
         X_new = candidates[select_batch(candidates, model, data.X, weights)]
         proposal_count += 1
 
-        best_prior = float(data.y.min())
-        y_new = rec.evaluate(evaluator, X_new)
-        failed = is_failure(y_new, best_prior)
-
-        tree.record_batch(X_new, y_new)
-        update_state(node, effective_n(tree.data, node.omega), failed, config)
-
-        event = EVENT_NORMAL
-        if node.state.sigma < config.sigma_crit:
-            x_star = tree.data.X[best_fit_index(tree.data, model)]
-            child = tree.zoom_in(x_star)
-            # fit_rbf needs two points, so a child holding fewer cannot be
-            # searched, nor can one whose box rounds to zero width (None):
-            # either restarts like one resolved below the threshold.
-            n = len(tree.data)
-            if child is None or n < 2 or restart_condition(child.omega, n, domain, config):
-                event = EVENT_RESTART
-                tree.restart()
-                pending = design_batches()
-            else:
-                event = EVENT_ZOOM_IN
-        if tree.maybe_zoom_out(rngs["zoomout"]):
-            event = EVENT_ZOOM_OUT
+        event = tree.advance(X_new, rec.evaluate(evaluator, X_new), model, rngs["zoomout"])
+        if event == EVENT_RESTART:
+            pending = design_batches()
         rec.log(iteration, event, node.node_id, node.zoom_level, state)
 
     return rec.result(config)

@@ -125,14 +125,16 @@ def clip_to_domain(x, domain: BoxDomain, out=None) -> np.ndarray:
     may be ``x`` itself).
 
     For a box this is the nearest domain point in Euclidean distance.
-    Accepts a single point (d,) or a stack (n, d).
+    Accepts a single point (d,) or a stack (n, d). A maximum and then a
+    minimum give ``np.clip``'s result bit for bit, in less time.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != domain.dim:
         raise ValueError(
             f"point dimension {x.shape[-1]} does not match domain dimension {domain.dim}"
         )
-    return np.clip(x, domain.lower, domain.upper, out=out)
+    out = np.maximum(x, domain.lower, out=out)
+    return np.minimum(out, domain.upper, out=out)
 
 
 @dataclass(frozen=True)

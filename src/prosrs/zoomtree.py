@@ -3,13 +3,16 @@
 A node holds a domain and the exploitation state driving proposals there; the
 evaluations live on the tree. Its archive holds every evaluation since the last
 restart, and the current node's data is that archive restricted to the node's
-box. Zooming in shrinks the domain around the current surrogate-best point by
-the zoom factor (clipped at the parent's walls); zooming out returns to the
-parent with the node's own small probability. Once a would-be child is finer
-than the resolution threshold relative to the root domain, or too thin to
-represent in floating point, the run restarts
-from a fresh design: its one tree drops every node and evaluation and starts
-again from an empty root.
+box. The tree has one entry point after each proposal batch,
+``ZoomTree.advance``: it records the batch, advances the current node's
+exploitation schedule, and makes the tree's move, which it returns as the
+batch's event. Zooming in shrinks the domain around the current
+surrogate-best point by the zoom factor (clipped at the parent's walls);
+zooming out returns to the parent with the node's own small probability. Once
+a would-be child is finer than the resolution threshold relative to the root
+domain, holds fewer than two evaluations, or is too thin to represent in
+floating point, the run restarts from a fresh design: its one tree drops every
+node and evaluation and starts again from an empty root.
 """
 
 from __future__ import annotations
@@ -21,8 +24,13 @@ import math
 import numpy as np
 
 from .problem import BoxDomain, EvalDataset, ExploitState, RunConfig
+from .srs import best_fit_index
 
 __all__ = [
+    "EVENT_NORMAL",
+    "EVENT_RESTART",
+    "EVENT_ZOOM_IN",
+    "EVENT_ZOOM_OUT",
     "ZoomNode",
     "ZoomTree",
     "update_state",
@@ -31,6 +39,12 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# The tree's move after a proposal batch, as ``ZoomTree.advance`` returns it.
+EVENT_NORMAL = "normal"
+EVENT_ZOOM_IN = "zoom_in"
+EVENT_ZOOM_OUT = "zoom_out"
+EVENT_RESTART = "restart"
 
 
 class ZoomNode:
@@ -169,6 +183,40 @@ class ZoomTree:
         self.archive = self.archive.with_batch(X, y)
         self.data = self.data.with_batch(X, y)
 
+    def advance(self, X, y, model, rng: np.random.Generator) -> str:
+        """Record a proposal batch at the current node and make the tree's move.
+
+        The batch fails unless its best response is strictly below the
+        current data's best. The batch is recorded, and the node's schedule
+        advances by the data's effective count and the failure. Once sigma
+        drops below sigma_crit the tree zooms in around the data point with
+        the lowest prediction of ``model``, the surrogate fitted before the
+        batch. It restarts instead when the would-be child cannot be
+        represented, holds fewer than two points (a fit needs two), or
+        resolves below the threshold. The tree then zooms out with the
+        current node's probability, drawn from ``rng``; the root, where a
+        restart leaves it, stays without a draw. Returns the move:
+        ``normal``, ``zoom_in``, ``restart`` or ``zoom_out``.
+        """
+        node = self.current
+        failed = bool(y.min() >= self.data.y.min())
+        self.record_batch(X, y)
+        update_state(node, effective_n(self.data, node.omega), failed, self.config)
+        event = EVENT_NORMAL
+        if node.state.sigma < self.config.sigma_crit:
+            child = self.zoom_in(self.data.X[best_fit_index(self.data, model)])
+            n = len(self.data)
+            if child is None or n < 2 or restart_condition(
+                child.omega, n, self.root_domain, self.config
+            ):
+                event = EVENT_RESTART
+                self.restart()
+            else:
+                event = EVENT_ZOOM_IN
+        if self.maybe_zoom_out(rng):
+            event = EVENT_ZOOM_OUT
+        return event
+
     def zoom_in(self, x_star) -> ZoomNode | None:
         """Create or revisit the child of the current node around ``x_star``.
 
@@ -182,7 +230,7 @@ class ZoomTree:
         reset, and the child becomes the current node, its data drawn from
         the archive. A new child whose clipped bounds round to equal values
         on some axis cannot be represented: then nothing changes and None is
-        returned, and the caller restarts as for a child finer than the
+        returned, and ``advance`` restarts as for a child finer than the
         resolution threshold.
         """
         node = self.current

@@ -7,9 +7,6 @@ from prosrs import engine
 from prosrs.benchmarks import NoisyBatchEvaluator, benchmark_objective, make_benchmark
 from prosrs.engine import (
     EVENT_DOE,
-    EVENT_NORMAL,
-    EVENT_RESTART,
-    is_failure,
     run_prosrs,
     run_random_search,
     serial_evaluator,
@@ -23,6 +20,7 @@ from prosrs.problem import (
     default_config,
     stream_seedseq,
 )
+from prosrs.zoomtree import EVENT_NORMAL, EVENT_RESTART
 
 
 def sphere_objective(d=2):
@@ -47,21 +45,6 @@ def logs_equal(a, b):
         if la.best_y_so_far != lb.best_y_so_far:
             return False
     return True
-
-
-class TestIsFailure:
-    def test_improvement_is_success(self):
-        assert is_failure([3.0, 5.0], 4.0) is False
-
-    def test_equality_is_failure(self):
-        assert is_failure([4.0, 5.0], 4.0) is True
-
-    def test_clear_failure(self):
-        assert is_failure([10.0], -1.0) is True
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            is_failure([], 0.0)
 
 
 class TestRunProsrs:

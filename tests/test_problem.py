@@ -130,6 +130,29 @@ class TestClipToDomain:
             z = dom.sample_uniform(200, rng)
             assert np.linalg.norm(c - x) <= np.linalg.norm(z - x, axis=1).min() + 1e-12
 
+    @staticmethod
+    def clip_cases():
+        rng = np.random.default_rng(3)
+        dom = BoxDomain(np.array([-1.0, 0.5, 2.0]), np.array([1.0, 2.0, 3.0]))
+        yield "stack", rng.uniform(-4, 4, size=(500, 3)), dom
+        yield "point", rng.uniform(-4, 4, size=3), dom
+        walls = np.array([dom.lower, dom.upper, [dom.lower[0], dom.upper[1], 2.5]])
+        yield "walls", walls, dom
+        # Signed zeros on and across the walls of boxes bounded by 0.0 and -0.0.
+        zeros = np.array([[a, b] for a in (0.0, -0.0, -1.0, 1.0) for b in (0.0, -0.0, -1.0, 1.0)])
+        for lo, hi in (([0.0, -1.0], [1.0, 0.0]), ([-0.0, -1.0], [1.0, -0.0])):
+            yield f"zeros{lo}{hi}", zeros, BoxDomain(np.array(lo), np.array(hi))
+
+    def test_bit_identical_to_np_clip(self):
+        for name, x, dom in self.clip_cases():
+            want = np.clip(x, dom.lower, dom.upper)
+            got = clip_to_domain(x, dom)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+            in_place = x.copy()
+            assert clip_to_domain(in_place, dom, out=in_place) is in_place
+            assert in_place.tobytes() == want.tobytes(), name
+            assert not np.shares_memory(got, x), name
+
 
 class TestEvalDataset:
     def test_order_preserved(self):

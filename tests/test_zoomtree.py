@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from prosrs.problem import BoxDomain, EvalDataset, ExploitState, default_config
+from prosrs.srs import best_fit_index
+from prosrs.surrogate import fit_rbf
 from prosrs.zoomtree import (
+    EVENT_NORMAL,
+    EVENT_RESTART,
+    EVENT_ZOOM_IN,
+    EVENT_ZOOM_OUT,
     ZoomNode,
     ZoomTree,
     effective_n,
@@ -324,6 +330,162 @@ class TestMaybeZoomOut:
         assert tree.maybe_zoom_out(rng) is False
         assert tree.current is tree.root
         assert rng.bit_generator.state == before
+
+
+class TestAdvance:
+    """``ZoomTree.advance``: one proposal batch in, the tree's move out."""
+
+    # Sigma halves below sigma_crit (0.025) on the next failure streak.
+    ABOUT_TO_ZOOM = ExploitState(0.0, 0.05, 0.03)
+
+    def tree(self, X, y, domain=None, state=None, **overrides):
+        tree = ZoomTree(domain or box(0, 1, 2), default_config(2, 1, **overrides))
+        tree.record_batch(np.asarray(X, dtype=float), np.asarray(y, dtype=float))
+        if state is not None:
+            tree.root.state = state
+        return tree
+
+    def advance(self, tree, X, y, rng=None):
+        """Fit at the current node as the engine does, then advance."""
+        rng = rng or np.random.default_rng(0)
+        model = fit_rbf(tree.data, tree.current.omega, tree.current.state.gamma)
+        return tree.advance(np.asarray(X, dtype=float), np.asarray(y, dtype=float), model, rng)
+
+    def about_to_zoom(self, X, y, **kwargs):
+        """A root whose next failed batch drives sigma below sigma_crit."""
+        tree = self.tree(X, y, state=self.ABOUT_TO_ZOOM, **kwargs)
+        tree.root.fail_counter = tree.config.c_fail - 1
+        return tree
+
+    def grid(self, k):
+        u = np.linspace(0.0, 1.0, k)
+        return np.array([[a, b] for a in u for b in u])
+
+    def test_normal_records_the_batch_and_advances_the_schedule(self):
+        rng = np.random.default_rng(20)
+        tree = self.tree(rng.uniform(0, 1, size=(10, 2)), rng.normal(size=10))
+        X = np.array([[0.25, 0.75]])
+        assert self.advance(tree, X, [5.0]) == EVENT_NORMAL
+        assert tree.current is tree.root
+        assert len(tree.archive) == 11 and len(tree.data) == 11
+        np.testing.assert_array_equal(tree.data.X[-1], X[0])
+        n_eff = effective_n(tree.data, tree.root.omega)
+        assert tree.root.state.p == pytest.approx(n_eff ** -0.5)
+
+    def test_zoom_in_around_the_best_fit_point_of_the_current_data(self):
+        # From a child, whose data is a part of the archive, on a grid fine
+        # enough that the grandchild holds several points.
+        tree = self.tree(self.grid(21), np.arange(441.0))
+        node = tree.zoom_in(np.array([0.5, 0.5]))
+        node.state, node.fail_counter = self.ABOUT_TO_ZOOM, tree.config.c_fail - 1
+        batch = np.array([[0.55, 0.45]])
+        model = fit_rbf(tree.data, node.omega, node.state.gamma)
+        after = tree.data.with_batch(batch, np.array([500.0]))
+        x_star = after.X[best_fit_index(after, model)]
+        assert tree.advance(batch, np.array([500.0]), model, np.random.default_rng(0)) == EVENT_ZOOM_IN
+        child = tree.current
+        assert child.parent is node and node.children == [child]
+        half = 0.5 * tree.config.rho * node.omega.side_lengths
+        lower = np.maximum(x_star - half, node.omega.lower)
+        np.testing.assert_array_equal(child.omega.lower, lower)
+        np.testing.assert_array_equal(child.omega.upper, np.minimum(x_star + half, node.omega.upper))
+        assert node.state == tree.config.s_init and node.fail_counter == 0
+
+    def test_zoom_out_with_the_child_probability(self):
+        rng = np.random.default_rng(21)
+        tree = self.tree(rng.uniform(0, 1, size=(30, 2)), rng.normal(size=30))
+        child = tree.zoom_in(np.array([0.5, 0.5]))
+        child.beta = 1.0
+        draws = np.random.default_rng(0)
+        before = draws.bit_generator.state
+        assert self.advance(tree, [[0.5, 0.55]], [9.0], draws) == EVENT_ZOOM_OUT
+        assert tree.current is tree.root
+        assert draws.bit_generator.state != before
+        # The batch was recorded at the child, and the root's data holds it.
+        assert child.state.p < 1.0
+        np.testing.assert_array_equal(tree.data.X[-1], [0.5, 0.55])
+
+    def check_restarted(self, tree, event, old_root, draws, before):
+        assert event == EVENT_RESTART
+        assert tree.root is not old_root and tree.current is tree.root
+        assert len(tree.archive) == 0 and len(tree.data) == 0
+        # The new root has no parent: the zoom-out generator is not drawn from.
+        assert draws.bit_generator.state == before
+
+    def test_restart_when_the_child_rounds_to_zero_width(self):
+        # A root 2 ulps wide on the first axis, every point at its middle:
+        # each candidate child's bounds round to the point on that axis.
+        lo = np.array([1.0, 0.0])
+        domain = BoxDomain(lo, np.array([1.0 + 2 * 2.0**-52, 1.0]))
+        X = np.column_stack([np.full(6, 1.0 + 2.0**-52), np.linspace(0.0, 1.0, 6)])
+        tree = self.about_to_zoom(X, np.arange(6.0), domain=domain)
+        old_root, draws = tree.root, np.random.default_rng(0)
+        before = draws.bit_generator.state
+        event = self.advance(tree, [[1.0 + 2.0**-52, 0.3]], [50.0], draws)
+        self.check_restarted(tree, event, old_root, draws, before)
+
+    def test_restart_when_the_child_holds_one_point(self):
+        # No two points within 0.2 of each other on both axes: a child of
+        # side 0.4 around any of them holds that point alone. The smallest
+        # such child, clipped at a corner, is too coarse to restart.
+        X = [[0.1, 0.1], [0.9, 0.1], [0.1, 0.9], [0.9, 0.9], [0.5, 0.5]]
+        tree = self.about_to_zoom(X, np.arange(5.0))
+        child_alone = BoxDomain(np.array([0.0, 0.0]), np.array([0.3, 0.3]))
+        assert restart_condition(child_alone, 1, tree.root_domain, tree.config) is False
+        old_root, draws = tree.root, np.random.default_rng(0)
+        before = draws.bit_generator.state
+        event = self.advance(tree, [[0.5, 0.1]], [50.0], draws)
+        self.check_restarted(tree, event, old_root, draws, before)
+
+    @pytest.mark.parametrize("r_resolution,event", [(0.5, EVENT_RESTART), (0.01, EVENT_ZOOM_IN)])
+    def test_restart_when_the_child_is_finer_than_the_resolution(self, r_resolution, event):
+        # On a grid of spacing 0.1 every child holds 9 to 26 points and has
+        # sides of 0.2 to 0.4, so n^(-1/2) times a side lies between 0.039
+        # and 0.14: below r = 0.5, above r = 0.01.
+        tree = self.about_to_zoom(self.grid(11), np.arange(121.0), r_resolution=r_resolution)
+        old_root, draws = tree.root, np.random.default_rng(0)
+        before = draws.bit_generator.state
+        got = self.advance(tree, [[0.55, 0.45]], [500.0], draws)
+        if event == EVENT_RESTART:
+            self.check_restarted(tree, got, old_root, draws, before)
+        else:
+            assert got == EVENT_ZOOM_IN and tree.current.parent is old_root
+
+    def test_root_does_not_draw(self):
+        rng = np.random.default_rng(22)
+        tree = self.tree(rng.uniform(0, 1, size=(10, 2)), rng.normal(size=10))
+        tree.root.beta = 1.0
+        draws = np.random.default_rng(0)
+        before = draws.bit_generator.state
+        assert self.advance(tree, [[0.5, 0.5]], [5.0], draws) == EVENT_NORMAL
+        assert draws.bit_generator.state == before
+
+    # The batch fails unless it strictly beats the current data's best: with
+    # p below 0.1 a failure advances the node's failure counter, a success
+    # resets it.
+    def failed(self, proposed_y, best_prior_y):
+        tree = self.tree([[0.2, 0.2], [0.8, 0.8]], [best_prior_y, best_prior_y + 1.0])
+        tree.root.state = ExploitState(0.0, 0.05, 0.1)
+        proposed_y = np.asarray(proposed_y, dtype=float)
+        X = np.linspace(0.3, 0.7, 2 * proposed_y.size).reshape(-1, 2)
+        self.advance(tree, X, proposed_y)
+        return tree.root.fail_counter == 1
+
+    def test_improvement_is_success(self):
+        assert self.failed([3.0, 5.0], 4.0) is False
+
+    def test_equality_is_failure(self):
+        assert self.failed([4.0, 5.0], 4.0) is True
+
+    def test_clear_failure(self):
+        assert self.failed([10.0], -1.0) is True
+
+    def test_empty_rejected(self):
+        tree = self.tree([[0.2, 0.2], [0.8, 0.8]], [0.0, 1.0])
+        model = fit_rbf(tree.data, tree.root.omega, 0.0)
+        with pytest.raises(ValueError):
+            tree.advance(np.empty((0, 2)), np.empty(0), model, np.random.default_rng(0))
+        assert len(tree.archive) == 2
 
 
 class TestTreeStructure:
