@@ -3,10 +3,12 @@
 Everything here is plain numpy. The squared distance between two points is
 summed over the coordinates in order, one coordinate column at a time, as
 ``scipy.spatial.distance.cdist(..., "sqeuclidean")`` sums it, so both round
-alike. ``squared_distances`` is that summation, and every distance a run
-compares goes through it (nearest evaluated point, the design's maximin
-score) or through ``update_min_dists``, which sums the same way for one new
-point (nearest pick).
+alike. ``squared_distances`` is that summation. A run compares distances
+through it (the design's maximin score), through ``update_min_dists``, which
+sums the same way for one new point (a candidate's distance to each pick), and
+through the basis: a candidate's distance to its nearest evaluated point, a
+centre of the surrogate, is read off the smallest entry of its basis row in
+``surrogate.predict_batch``, within the bound stated there.
 
 ``multiquadric_matrix`` forms 1 + ||a_i - b_j||^2 as one matrix product of
 two factors that carry the squared norms and the 1 as extra columns, after
@@ -16,15 +18,20 @@ of centres) that product of d + 2 columns beats a distance loop, by the most
 at high d; on a small square fit, the few extra numpy calls make it some
 microseconds slower. The product cancels the squared norms against -2 a.b,
 so each entry of 1 + r^2 carries an absolute error of about (||a - c||^2 +
-||b - c||^2 + 1) * eps, c being that centre: at most (d / 2 + 1) * eps for
-unit-cube points, and relative to 1 + r^2 >= 1 that is as small.
+||b - c||^2 + 1) * eps, c being that centre, per rounding; for unit-cube
+points, over the d + 2 terms and the factors' own rounding, at most (3 d^2 /
+4 + 3 d + 2) eps (see ``surrogate.predict_batch``), and relative to 1 + r^2
+>= 1 that is as small.
 
-``min_dists`` uses the product form only to find each point's nearest refs:
-in it a distance near zero comes out as about sqrt(eps) times the points'
-norm, an error that the basis's +1 absorbs but a nearest-point distance would
-not. Every ref that the product puts within its error bound of the nearest
-is then measured exactly, coordinate by coordinate (see its docstring). It
-works on blocks of query points, as many as keep the block's product within
+``min_dists`` is the exact nearest-distance search, off the run path: the
+tests hold the nearest distances that pool scoring reads off the basis to it.
+It uses the product form only to find each point's nearest refs: in it a
+distance near zero comes out as about sqrt(eps) times the points' norm, an
+error that the basis's +1 absorbs and pool scoring accepts within its bound,
+but an exact search cannot.
+Every ref that the product puts within its error bound of the nearest is then
+measured exactly, coordinate by coordinate (see its docstring). It works on
+blocks of query points, as many as keep the block's product within
 ``DIST_CELLS`` entries, and takes one square root at the end, so its memory
 stays bounded however many points are queried; sqrt is monotone and
 correctly rounded, so the result is the same as the minimum of the
@@ -32,7 +39,8 @@ distances.
 
 ``predict_batch`` builds the centres' factor once per call, then maps each
 block of query rows to the unit cube, forms its basis and multiplies it by
-the coefficients, all in buffers shared by the blocks. ``row_blocks`` sizes
+the coefficients, all in buffers shared by the blocks; scoring a candidate
+pool also takes each row's smallest basis entry there. ``row_blocks`` sizes
 the blocks by a cell budget, BASIS_CELLS entries of the basis: rows x n
 entries for n centres, with rows a multiple of 64 and at least 64, so that a
 block and its factors stay in a core's L2 cache. A block of n = 400 centres

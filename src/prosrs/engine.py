@@ -240,7 +240,7 @@ def run_prosrs(
             rngs["candidates"],
         )
         weights = weight_pattern(config.n_par, proposal_count)
-        X_new = candidates[select_batch(candidates, model, data.X, weights)]
+        X_new = candidates[select_batch(candidates, model, weights)]
         proposal_count += 1
 
         event = tree.advance(X_new, rec.evaluate(evaluator, X_new), model, rngs["zoomout"])

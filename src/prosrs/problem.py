@@ -28,12 +28,14 @@ class EvaluationError(RuntimeError):
 
 
 # A box is refused unless this many times its squared diagonal D^2 is finite.
-# Distances between points of a box are measured in original coordinates,
-# and the largest value any distance kernel forms is in _kernels.min_dists:
-# with a = p - c and b = r - c for points of the box, its product v = -2 a.b
-# + ||b||^2 has |v| <= ||a||^2 + 2 ||b||^2 <= 3 D^2, and its band adds tol *
-# (||a||^2 + max ||b||^2) <= 2 tol D^2 to v, tol being 10 (d + 2) eps; 4 D^2
-# covers both and their rounding.
+# Candidate spread and the surrogate live in unit-cube coordinates; what a run
+# still forms in original coordinates is at most a squared distance between
+# two points of the box, D^2 plus its rounding: the design's maximin score and
+# the zoom tree's distance from the zoom centre to a child's centre. 4 D^2
+# covers that with room to spare, and also what the exact reference
+# _kernels.min_dists forms on points of a box in original coordinates: |v| <=
+# 3 D^2 for its product v = -2 a.b + ||b||^2 (a = p - c, b = r - c), plus a
+# band of at most 2 tol D^2, tol being 10 (d + 2) eps. So the value stays 4.
 _SQUARED_DIAGONAL_MARGIN = 4.0
 
 

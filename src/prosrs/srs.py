@@ -6,6 +6,13 @@ surrogate-best point (Type II) — as one (t, d) array, then picks a batch by
 blending a surrogate response score against a min-distance exploration score,
 one pick per weight of the 1-D weight array that ``weight_pattern`` returns,
 and returns the indices of the picks.
+
+Spread is measured to the model's centres, the evaluated points of the node,
+in the unit-cube coordinates that the surrogate is fitted in. The pool's one
+``predict_batch`` pass yields each candidate's nearest-centre distance from
+its basis row; ``_kernels.update_min_dists`` refreshes it with each pick.
+``_kernels.min_dists``, an exact nearest-distance search, is off the run
+path: it is the reference that the tests hold this scoring to.
 """
 
 from __future__ import annotations
@@ -66,40 +73,43 @@ def generate_candidates(
     return pts
 
 
-def select_batch(points, model: RbfSurrogate, evaluated, weights) -> list:
+def select_batch(points, model: RbfSurrogate, weights) -> list:
     """Pick one row of ``points`` per weight, scoring response against spread.
 
     ``weights`` is a nonempty 1-D array of values in [0.3, 1], such as
     ``weight_pattern`` returns. For each weight w, over the remaining pool:
     the response score is the min-max scaled surrogate value, the distance
     score is the min-max scaled negated distance to the nearest point among
-    the evaluated points and the proposals already picked (both scores
-    identically 0 when their range is degenerate). The candidate minimizing
-    w * response + (1 - w) * distance is selected (ties: lowest index) and
-    removed from the pool; when another weight follows, the nearest distances
-    are refreshed with the pick. Returns the row indices of the picks, in
-    weight order. ``points`` may come in any layout; it is not copied.
+    the model's centres (the evaluated points it was fitted on) and the
+    proposals already picked (both scores identically 0 when their range is
+    degenerate). Distances are measured in the unit-cube coordinates of the
+    model's domain, where the surrogate is fitted: one ``predict_batch`` pass
+    gives the values, the pool's unit coordinates and each candidate's
+    distance to its nearest centre, read off the basis (within the bound of
+    ``predict_batch``'s docstring). The candidate minimizing w * response +
+    (1 - w) * distance is selected (ties: lowest index) and removed from the
+    pool; when another weight follows, the nearest distances are refreshed
+    with the pick by ``_kernels.update_min_dists``. Returns the row indices
+    of the picks, in weight order. ``points`` may come in any layout; it is
+    not copied.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    evaluated = np.atleast_2d(np.asarray(evaluated, dtype=float))
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or weights.size == 0:
         raise ValueError("weights must be a nonempty 1-D array")
     if not np.all((weights >= 0.3) & (weights <= 1.0)):
         raise ValueError("weights must lie in [0.3, 1]")
     t = points.shape[0]
-    if t == 0 or evaluated.shape[0] == 0:
-        raise ValueError("candidates and evaluated points must be nonempty")
     if t < weights.size:
         raise ValueError(f"pool of {t} candidates cannot fill {weights.size} slots")
 
-    g = predict_batch(model, points)
-    dmin = _kernels.min_dists(points, evaluated)
+    unit, dmin = np.empty(points.shape), np.empty(t)
+    g = predict_batch(model, points, unit=unit, nearest=dmin)
     active = np.ones(t, dtype=bool)
     picked = []
     for w in weights:
         if picked:
-            dmin = _kernels.update_min_dists(dmin, points, points[picked[-1]])
+            dmin = _kernels.update_min_dists(dmin, unit, unit[picked[-1]])
         idx = np.flatnonzero(active)
         # Negation is exact: the distance score is (max - d) / (max - min).
         score = w * min_max_scaled(g[idx]) + (1.0 - w) * min_max_scaled(-dmin[idx])

@@ -152,7 +152,7 @@ def fit_rbf(data: EvalDataset, domain: BoxDomain, gamma: float) -> RbfSurrogate:
     )
 
 
-def predict_batch(model: RbfSurrogate, X) -> np.ndarray:
+def predict_batch(model: RbfSurrogate, X, *, unit=None, nearest=None) -> np.ndarray:
     """Surrogate values, shape (k,), at ``k`` row-stacked points in original
     coordinates (a single point of shape (d,) counts as one row).
 
@@ -165,6 +165,22 @@ def predict_batch(model: RbfSurrogate, X) -> np.ndarray:
     centers) @ coefficients`` over all rows bit for bit; with more BLAS
     threads its last bits can differ from that product, since BLAS splits the
     dense rows between its threads where it likes.
+
+    Scoring a candidate pool passes two more outputs, and the values are the
+    same bits. ``unit``, shape (k, d), receives the rows in unit-cube
+    coordinates (``model.norm_record.to_unit(X)`` bit for bit), in place of a
+    block buffer. ``nearest``, shape (k,), receives each row's distance to
+    its nearest centre in those coordinates, read off the block's basis: the
+    smallest entry b of a row (a row ``argmin`` and a gather) gives r' =
+    sqrt(b^2 - 1). For rows and centres in the unit cube, the basis product's
+    entries of 1 + r^2 are off by at most (3 d^2 / 4 + 3 d + 2) eps: a dot
+    product of d + 2 terms whose magnitudes sum to at most d + 1, plus the
+    rounding of its factors and of the shift by the cube's centre. The square
+    root, the squaring, the subtraction and the last square root add at most
+    (3 d + 2) eps. So against the exact nearest distance r, |r'^2 - r^2| <= E
+    = (d + 3)^2 eps and |r' - r| <= min(sqrt(E), E / r): a row equal to a
+    centre can read up to (d + 3) sqrt(eps), 1.9e-7 at d = 10, instead of 0.
+    ``_kernels.min_dists`` is the exact reference.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     norm, d = model.norm_record, model.norm_record.dim
@@ -175,13 +191,24 @@ def predict_batch(model: RbfSurrogate, X) -> np.ndarray:
     blocks = row_blocks(X.shape[0], n)
     rows = max((b.stop - b.start for b in blocks), default=0)
     # Buffers shared by the blocks, each block's products written in place.
-    u_buf, p_buf, v_buf = np.empty((rows, d)), np.empty((rows, d + 2)), np.empty((rows, n))
+    # Pool scoring maps the rows into ``unit`` and makes no row buffer: an
+    # unused one, though never touched, raised select_batch's minor page
+    # faults from 162-184 to 338 a call over 40-iteration Ackley10 and Levy10
+    # runs.
+    u_buf = np.empty((rows, d)) if unit is None else None
+    p_buf, v_buf = np.empty((rows, d + 2)), np.empty((rows, n))
     out = np.empty(X.shape[0])
     for block in blocks:
         k = block.stop - block.start
-        u = norm.to_unit(X[block], out=u_buf[:k])
+        u = norm.to_unit(X[block], out=u_buf[:k] if unit is None else unit[block])
         basis = multiquadric_matrix(u, q=q, p=p_buf[:k], out=v_buf[:k])
         np.matmul(basis, model.coefficients, out=out[block])
+        if nearest is not None:
+            # b >= 1, since the basis clamps 1 + r^2 to at least 1.
+            b = basis[np.arange(k), basis.argmin(axis=1)]
+            b *= b
+            b -= 1.0
+            np.sqrt(b, out=nearest[block])
     return out
 
 

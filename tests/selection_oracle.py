@@ -1,15 +1,18 @@
 """Pure-python restatement of the batch-selection rule, used as a test oracle.
 
 Deliberately independent of the library implementation: plain loops, python
-floats, distances recomputed from scratch at every step.
+floats, distances recomputed from scratch at every step. Spread is measured
+to ``centers``, the model's centres, and to the picks. The library measures
+it in the model's unit-cube coordinates, so callers pass points and centres
+of a model on the unit cube, where both metrics agree.
 """
 
 import math
 
 
-def oracle_select(points, g, evaluated, weights):
+def oracle_select(points, g, centers, weights):
     remaining = list(range(len(points)))
-    anchors = [list(q) for q in evaluated]
+    anchors = [list(q) for q in centers]
     picked = []
 
     def dist(a, b):

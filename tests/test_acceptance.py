@@ -167,11 +167,14 @@ def test_criterion_04_selection_matches_exhaustive_oracle():
             0.0, 0.0, dom,
         )
         pts = rng.uniform(0, 1, size=(t, d))
-        evaluated = rng.uniform(0, 1, size=(int(rng.integers(1, 4)), d))
+        # Unused draws, the evaluated points of earlier versions, whose
+        # spread was measured apart from the model: they keep the 1000 pools
+        # those of earlier versions. Spread is now to the model's centres.
+        rng.uniform(0, 1, size=(int(rng.integers(1, 4)), d))
         weights = np.sort(rng.uniform(0.3, 1.0, size=n_par))
         g = predict_batch(model, pts)
-        idx = select_batch(pts, model, evaluated, weights)
-        if idx != oracle_select(pts, g, evaluated, weights):
+        idx = select_batch(pts, model, weights)
+        if idx != oracle_select(pts, g, model.centers, weights):
             mismatches += 1
     report(
         4,

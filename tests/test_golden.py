@@ -34,13 +34,17 @@ SEEDS = (0, 1)
 # Rastrigin2 runs n_par = 1; SixHumpCamel2 has an anisotropic domain; the
 # Dropwave2 overrides make it restart within the budget; the GoldsteinPrice2
 # overrides make it zoom in and out; the Schaffer2 overrides make it zoom in,
-# zoom out and then restart, on both seeds.
+# zoom out and then restart, on both seeds; at n_par 3 with c_fail 1,
+# GoldsteinPrice2 zooms into children clipped at the root's wall and proposes
+# there on both seeds, so candidate spread is measured in the unit coordinates
+# of a non-cubic child.
 RUNS = (
     ("Ackley10", 4, {}),
     ("Rastrigin2", 1, {}),
     ("SixHumpCamel2", 4, {}),
     ("Dropwave2", 2, {"c_fail": 1, "r_resolution": 0.2}),
     ("GoldsteinPrice2", 2, {"c_fail": 1, "r_resolution": 0.1, "beta_init": 0.5, "beta_min": 0.25}),
+    ("GoldsteinPrice2", 3, {"c_fail": 1}),
     ("Schaffer2", 2, {"c_fail": 1, "r_resolution": 0.1, "beta_init": 0.5, "beta_min": 0.25}),
 )
 # (problem, n, seed, repeat, n_mc) of cli.model_error_trial. 5000 Monte-Carlo

@@ -11,10 +11,14 @@ from oracles import max_zoom_level
 from prosrs.engine import run_prosrs
 from prosrs.problem import BoxDomain, Objective, default_config
 
-# Degenerate landscapes: flat, piecewise flat, tiny and huge scales, and one
-# whose rounding makes many responses equal.
+# Degenerate landscapes: flat, piecewise flat, tiny and huge scales, one
+# whose rounding makes many responses equal, and one whose minimum sits on a
+# corner of the domain, so that clipped Type II candidates land on evaluated
+# points: the pool then holds rows at distance exactly 0 from a centre, and
+# runs evaluate the same point more than once.
 LANDSCAPES = {
     "constant": lambda x: 3.0,
+    "corner_plane": lambda x: float(x.sum()),
     "step": lambda x: float(np.floor(4.0 * x.sum())),
     "sphere_1e-12": lambda x: 1e-12 * float(x @ x),
     "sphere_1e12": lambda x: 1e12 * float(x @ x),

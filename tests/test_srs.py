@@ -50,7 +50,7 @@ class TestWeightPattern:
         pts = np.random.default_rng(0).uniform(0, 1, size=(10, 2))
         for weights in (np.array([0.2]), np.array([0.3, 1.2])):
             with pytest.raises(ValueError, match=r"\[0\.3, 1\]"):
-                select_batch(pts, toy_model(), np.array([[0.5, 0.5]]), weights)
+                select_batch(pts, toy_model(), weights)
         with pytest.raises(ValueError):
             weight_pattern(0)
 
@@ -142,9 +142,7 @@ class TestSelectBatch:
         rng = np.random.default_rng(4)
         model = toy_model(4)
         pts = rng.uniform(0, 1, size=(50, 2))
-        idx = select_batch(
-            pts, model, rng.uniform(0, 1, size=(3, 2)), np.array([1.0])
-        )
+        idx = select_batch(pts, model, np.array([1.0]))
         g = predict_batch(model, pts)
         assert idx[0] == int(np.argmin(g))
 
@@ -154,20 +152,23 @@ class TestSelectBatch:
         rng = np.random.default_rng(5)
         model = RbfSurrogate(np.array([[0.5, 0.5]]), np.array([0.0]), 0.0, 0.0, unit_box())
         pts = rng.uniform(0, 1, size=(40, 2))
-        evaluated = np.array([[0.5, 0.5]])
-        idx = select_batch(pts, model, evaluated, np.array([0.3]))
-        dists = np.linalg.norm(pts - evaluated[0], axis=1)
+        idx = select_batch(pts, model, np.array([0.3]))
+        dists = np.linalg.norm(pts - model.centers[0], axis=1)
         assert idx[0] == int(np.argmax(dists))
 
     def test_three_point_hand_case(self):
-        # Candidates on a line, one evaluated point at the origin.
+        # Candidates on a line, the model's one centre at the origin, so g =
+        # sqrt(1 + r^2) and the distances are 0.1, 0.5 and 0.9. At w = 0.3 the
+        # scores are 0.7, 0.3 * 0.332 + 0.7 * 0.5 and 0.3: the farthest point
+        # wins. Its pick leaves the nearest distances 0.1 and 0.4, and w = 1
+        # takes the lowest g, the first point.
         pts = np.array([[0.1, 0.0], [0.5, 0.0], [0.9, 0.0]])
-        model = toy_model(6)
+        model = RbfSurrogate(np.array([[0.0, 0.0]]), np.array([1.0]), 0.0, 0.0, unit_box())
         g = predict_batch(model, pts)
-        evaluated = np.array([[0.0, 0.0]])
         weights = np.array([0.3, 1.0])
-        idx = select_batch(pts, model, evaluated, weights)
-        assert idx == oracle_select(pts, g, evaluated, weights)
+        idx = select_batch(pts, model, weights)
+        assert idx == [2, 0]
+        assert idx == oracle_select(pts, g, model.centers, weights)
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(7)
@@ -177,17 +178,16 @@ class TestSelectBatch:
             n_par = int(rng.integers(1, min(t, 4) + 1))
             model = toy_model(trial, d=d)
             pts = rng.uniform(0, 1, size=(t, d))
-            evaluated = rng.uniform(0, 1, size=(int(rng.integers(1, 4)), d))
             weights = np.sort(rng.uniform(0.3, 1.0, size=n_par))
             g = predict_batch(model, pts)
-            idx = select_batch(pts, model, evaluated, weights)
-            assert idx == oracle_select(pts, g, evaluated, weights)
+            idx = select_batch(pts, model, weights)
+            assert idx == oracle_select(pts, g, model.centers, weights)
 
     def test_picks_are_distinct(self):
         rng = np.random.default_rng(8)
         model = toy_model(8)
         pts = rng.uniform(0, 1, size=(30, 2))
-        idx = select_batch(pts, model, rng.uniform(0, 1, size=(2, 2)), weight_pattern(6))
+        idx = select_batch(pts, model, weight_pattern(6))
         assert len(set(idx)) == 6
 
     def test_monotone_weight_effect(self):
@@ -197,12 +197,11 @@ class TestSelectBatch:
         for trial in range(20):
             model = toy_model(trial + 100)
             pts = rng.uniform(0, 1, size=(60, 2))
-            evaluated = rng.uniform(0, 1, size=(4, 2))
             g = predict_batch(model, pts)
             w1, w2 = sorted(rng.uniform(0.3, 1.0, size=2))
             picks = {}
             for w in (w1, w2):
-                idx = select_batch(pts, model, evaluated, np.array([w]))
+                idx = select_batch(pts, model, np.array([w]))
                 picks[w] = idx[0]
             assert g[picks[w2]] <= g[picks[w1]] + 1e-12
 
@@ -210,11 +209,10 @@ class TestSelectBatch:
         rng = np.random.default_rng(10)
         model = toy_model(10, d=3)
         pts = rng.uniform(0, 1, size=(200, 3))
-        evaluated = rng.uniform(0, 1, size=(5, 3))
-        want = select_batch(pts, model, evaluated, weight_pattern(8))
+        want = select_batch(pts, model, weight_pattern(8))
         # Fortran order, and every other row of a pool twice as long.
         for pool in (np.asfortranarray(pts), np.repeat(pts, 2, axis=0)[::2]):
-            assert select_batch(pool, model, evaluated, weight_pattern(8)) == want
+            assert select_batch(pool, model, weight_pattern(8)) == want
 
     @pytest.mark.parametrize("n_par", [1, 2, 5])
     def test_distances_are_refreshed_only_before_a_further_pick(self, monkeypatch, n_par):
@@ -230,17 +228,17 @@ class TestSelectBatch:
         monkeypatch.setattr(_kernels, "update_min_dists", counting_update)
         rng = np.random.default_rng(11)
         pts = rng.uniform(0, 1, size=(40, 2))
-        select_batch(pts, toy_model(11), rng.uniform(0, 1, size=(3, 2)), weight_pattern(n_par))
+        select_batch(pts, toy_model(11), weight_pattern(n_par))
         assert len(refreshes) == n_par - 1
 
     def test_weights_must_be_a_nonempty_vector(self):
         pts = np.random.default_rng(0).uniform(0, 1, size=(10, 2))
         for weights in (np.array([]), np.array([[0.3, 1.0]]), np.float64(0.5)):
             with pytest.raises(ValueError, match="nonempty 1-D"):
-                select_batch(pts, toy_model(), np.array([[0.5, 0.5]]), weights)
+                select_batch(pts, toy_model(), weights)
 
     def test_pool_too_small_raises(self):
         model = toy_model()
         pts = np.array([[0.1, 0.1]])
         with pytest.raises(ValueError):
-            select_batch(pts, model, np.array([[0.5, 0.5]]), weight_pattern(2))
+            select_batch(pts, model, weight_pattern(2))

@@ -163,6 +163,71 @@ class TestPredict:
         assert peak < 4 * 2**20
 
 
+class TestPoolScoring:
+    """predict_batch with the pool outputs ``unit`` and ``nearest``."""
+
+    # Each case: (domain, centres in unit coordinates, pool) in original
+    # coordinates. 60 centres put 2176 rows in a block, so the pools of 4353
+    # and 10 000 rows span several blocks.
+    @staticmethod
+    def case(name):
+        rng = np.random.default_rng(len(name))
+        if name == "ackley10":
+            domain = make_benchmark("Ackley10").domain
+            centers = rng.uniform(size=(60, 10))
+            pool = domain.sample_uniform(10_000, rng)
+        elif name == "anisotropic":
+            domain = BoxDomain(np.array([-2.0, 0.0, 1.0, -1e3]), np.array([3.0, 0.5, 9.0, 1e3]))
+            centers = rng.uniform(size=(60, 4))
+            pool = domain.sample_uniform(4353, rng)
+        elif name == "duplicate_centers":
+            domain = BoxDomain(np.zeros(3), np.array([1.0, 2.0, 4.0]))
+            centers = np.repeat(rng.uniform(size=(20, 3)), 3, axis=0)
+            pool = domain.sample_uniform(4353, rng)
+        else:  # pool rows equal to centres, duplicates among them
+            domain = BoxDomain(np.array([-5.0, 0.0]), np.array([10.0, 15.0]))
+            X = np.repeat(domain.sample_uniform(30, rng), 2, axis=0)
+            centers = domain.to_unit(X)
+            pool = np.vstack([domain.sample_uniform(4293, rng), X])
+        coefficients = rng.normal(size=len(centers))
+        return RbfSurrogate(centers, coefficients, 0.0, 0.0, domain), pool
+
+    CASES = ["ackley10", "anisotropic", "duplicate_centers", "rows_on_centers"]
+
+    @staticmethod
+    def score(model, pool):
+        unit, nearest = np.empty(pool.shape), np.empty(len(pool))
+        return predict_batch(model, pool, unit=unit, nearest=nearest), unit, nearest
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_values_and_unit_rows_equal_their_references_bitwise(self, name):
+        model, pool = self.case(name)
+        assert len(_kernels.row_blocks(len(pool), len(model.centers))) > 1
+        with _kernels.one_blas_thread():
+            g, unit, _ = self.score(model, pool)
+            assert g.tobytes() == predict_batch(model, pool).tobytes()
+        assert unit.tobytes() == model.norm_record.to_unit(pool).tobytes()
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_nearest_distances_within_the_docstring_bound(self, name):
+        # |r'^2 - r^2| <= E = (d + 3)^2 eps and |r' - r| <= min(sqrt(E), E / r),
+        # against the exact search on the same unit coordinates.
+        model, pool = self.case(name)
+        _, unit, got = self.score(model, pool)
+        want = _kernels.min_dists(unit, model.centers)
+        bound = (model.norm_record.dim + 3) ** 2 * np.finfo(float).eps
+        assert np.all(np.abs(got**2 - want**2) <= bound)
+        with np.errstate(divide="ignore"):
+            assert np.all(np.abs(got - want) <= np.minimum(np.sqrt(bound), bound / want))
+        if name == "rows_on_centers":
+            assert np.all(want[-60:] == 0.0) and np.all(want[:-60] > 0.0)
+
+    def test_nearest_distance_of_a_single_row_and_centre(self):
+        m = RbfSurrogate(np.array([[0.2, 0.6]]), np.array([1.0]), 0.0, 0.0, unit_box(2))
+        _, _, nearest = self.score(m, np.array([[0.5, 0.2]]))
+        assert nearest[0] == pytest.approx(0.5, rel=1e-15)
+
+
 class TestFit:
     def test_requires_two_points(self):
         data = EvalDataset(np.array([[0.5]]), np.array([1.0]))
