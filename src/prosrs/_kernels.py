@@ -1,13 +1,15 @@
 """Hot numeric kernels: pairwise distances and the multiquadric basis matrix.
 
 Everything here is plain numpy. The squared distance between two points is
-summed over the coordinates in order, one coordinate column at a time, as
+summed over the coordinates in order, as
 ``scipy.spatial.distance.cdist(..., "sqeuclidean")`` sums it, so both round
-alike. ``squared_distances`` is that summation. A run compares distances
-through it (the design's maximin score), through ``update_min_dists``, which
-sums the same way for one new point (a candidate's distance to each pick), and
-through the basis: a candidate's distance to its nearest evaluated point, a
-centre of the surrogate, is read off the smallest entry of its basis row in
+alike. ``squared_distances`` is that summation, and the only one: it adds the
+squared differences one coordinate column at a time into one buffer, for
+stacks of any layout. Every distance that a run compares is summed by it (the
+design's maximin score, a candidate's distance to each pick in
+``update_min_dists``, and the zoom tree's nearest child centre) or read off
+the basis: a candidate's distance to its nearest evaluated point, a centre of
+the surrogate, is read off the smallest entry of its basis row in
 ``surrogate.predict_batch``, within the bound stated there.
 
 ``multiquadric_matrix`` forms 1 + ||a_i - b_j||^2 as one matrix product of
@@ -30,7 +32,7 @@ distance near zero comes out as about sqrt(eps) times the points' norm, an
 error that the basis's +1 absorbs and pool scoring accepts within its bound,
 but an exact search cannot.
 Every ref that the product puts within its error bound of the nearest is then
-measured exactly, coordinate by coordinate (see its docstring). It works on
+measured exactly by ``squared_distances`` (see its docstring). It works on
 blocks of query points, as many as keep the block's product within
 ``DIST_CELLS`` entries, and takes one square root at the end, so its memory
 stays bounded however many points are queried; sqrt is monotone and
@@ -111,19 +113,21 @@ def _c2d(a):
 
 def squared_distances(a, b) -> np.ndarray:
     """Squared distances between the rows of two stacks of points that
-    broadcast together, such as (n, d) against (n, d) or (1, d).
+    broadcast together, such as (n, d) against (n, d), (1, d) or (d,).
 
-    The squared coordinate differences are summed over the last axis in
-    coordinate order, the summation of scipy's ``cdist(..., "sqeuclidean")``.
-    The differences take the layout of ``a``: in Fortran order (a transposed
-    copy, as ``np.asfortranarray`` makes) each coordinate column is read
-    contiguously.
+    The squared coordinate differences are added one coordinate column at a
+    time, in coordinate order, into one buffer: the summation of scipy's
+    ``cdist(..., "sqeuclidean")``. The stacks may come in any layout; in
+    Fortran order (a transposed copy, as ``np.asfortranarray`` makes) each
+    coordinate column is read contiguously.
     """
-    diff = np.subtract(a, b)
-    diff *= diff
-    acc = diff[..., 0].copy()
-    for k in range(1, diff.shape[-1]):
-        acc += diff[..., k]
+    acc = np.subtract(a[..., 0], b[..., 0])
+    acc *= acc
+    diff = np.empty_like(acc)
+    for k in range(1, a.shape[-1]):
+        np.subtract(a[..., k], b[..., k], out=diff)
+        diff *= diff
+        acc += diff
     return acc
 
 
@@ -185,21 +189,14 @@ def min_dists(points, refs) -> np.ndarray:
 
 def update_min_dists(current, points, new_ref) -> np.ndarray:
     """Elementwise min of ``current`` and the distance from each row of
-    ``points`` to one new point, summed as ``min_dists`` sums it: the squared
-    differences are added one coordinate column at a time, in coordinate
-    order, into one buffer, so ``points`` may come in any layout."""
+    ``points`` to one new point, summed by ``squared_distances``, as
+    ``min_dists`` sums it, so ``points`` may come in any layout."""
     current = np.ascontiguousarray(current, dtype=np.float64)
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     new_ref = np.atleast_2d(np.asarray(new_ref, dtype=np.float64))
     if new_ref.shape != (1, points.shape[1]):
         raise ValueError(f"new_ref of shape {new_ref.shape} is not one {points.shape[1]}-D point")
-    acc = np.subtract(points[:, 0], new_ref[0, 0])
-    acc *= acc
-    diff = np.empty_like(acc)
-    for k in range(1, points.shape[1]):
-        np.subtract(points[:, k], new_ref[0, k], out=diff)
-        diff *= diff
-        acc += diff
+    acc = squared_distances(points, new_ref[0])
     np.sqrt(acc, out=acc)
     return np.minimum(current, acc, out=acc)
 

@@ -1,15 +1,18 @@
 """Optimization drivers: the main surrogate loop and a random-search baseline.
 
-The main loop bootstraps from a space-filling design, then repeats: fit the
-weighted RBF surrogate on the current node's data, propose a batch, evaluate
-it in one parallel barrier, hand it to the zoom tree, and log the move the
-tree reports. ``ZoomTree.advance`` owns every decision after the barrier:
-whether the batch failed, the exploitation schedule, zooming in, restarting
-and zooming out. The loop's one response to a restart is to evaluate a fresh
-design. The evaluations live on the tree: ``tree.archive`` holds every one
-since the last restart, and ``tree.data``, the current node's data, is that
-archive restricted to the node's box. Runs are bit-reproducible given the
-seed and a deterministic evaluator.
+The main loop has one body for every batch. It takes the next batch of a
+pending space-filling design, or else fits the weighted RBF surrogate on the
+current node's data and proposes a batch; evaluates the batch in one
+parallel barrier; hands it to the zoom tree with the model (None for a
+design batch); and logs the event the tree returns. ``ZoomTree.advance``
+owns every decision after the barrier: recording the batch, whether it
+failed, the exploitation schedule, zooming in, restarting and zooming out.
+The loop's one response to a restart is to draw a fresh design, whose
+batches the next passes take; the initial design's batches are passes too,
+logged as iteration 0. The evaluations live on the tree: ``tree.archive``
+holds every one since the last restart, and ``tree.data``, the current
+node's data, is that archive restricted to the node's box. Runs are
+bit-reproducible given the seed and a deterministic evaluator.
 
 Evaluators own the parallelism: they take a (k, d) batch and return k values
 in order. One clock, kept by the run's recorder, splits the wall time into the
@@ -37,8 +40,6 @@ from .problem import (
 from .srs import generate_candidates, select_batch, weight_pattern
 from .surrogate import fit_rbf
 from .zoomtree import EVENT_NORMAL, EVENT_RESTART, ZoomTree
-
-EVENT_DOE = "doe"
 
 
 @dataclass(frozen=True)
@@ -190,10 +191,11 @@ def run_prosrs(
     """Run the full surrogate optimization loop for ``config.n_iterations``.
 
     The initial design is evaluated in n_par-sized barrier batches before the
-    loop and does not consume the iteration budget; design batches after a
-    restart do. Returns the evaluated point with the lowest response over the
-    entire run, including evaluations made before any restart. OpenBLAS runs
-    on one thread until the call returns or raises, evaluator calls included.
+    iterations and does not consume the iteration budget; design batches
+    after a restart do. Returns the evaluated point with the lowest response
+    over the entire run, including evaluations made before any restart.
+    OpenBLAS runs on one thread until the call returns or raises, evaluator
+    calls included.
     """
     _check_setup(objective, config)
     if evaluator is None:
@@ -201,7 +203,6 @@ def run_prosrs(
     rngs = derive_streams(config.seed)
     rec = _Recorder()
     domain = objective.domain
-    d = config.dim
 
     def design_batches():
         points = latin_hypercube_maximin(config.m_doe, domain, rngs["doe"])
@@ -209,41 +210,28 @@ def run_prosrs(
 
     tree = ZoomTree(domain, config)
     pending = design_batches()
-
-    def design_step(iteration):
-        """Evaluate the next pending design batch and record it into the root."""
-        batch = pending.pop(0)
-        tree.record_batch(batch, rec.evaluate(evaluator, batch))
-        rec.log(iteration, EVENT_DOE, tree.root.node_id, 0, config.s_init)
-
-    # Initial design, outside the iteration budget (iteration = 0).
-    while pending:
-        design_step(0)
-
     proposal_count = 0  # 0-based count of SRS proposal steps (weight alternation)
-    for iteration in range(1, config.n_iterations + 1):
-        if pending:
-            # Re-bootstrap after a restart: these batches consume the budget.
-            design_step(iteration)
-            continue
-
-        node, data = tree.current, tree.data
+    # The initial design's batches carry iteration 0, outside the budget.
+    for iteration in [0] * len(pending) + list(range(1, config.n_iterations + 1)):
+        node = tree.current
         state = node.state
+        if pending:
+            X, model = pending.pop(0), None
+        else:
+            model = fit_rbf(tree.data, node.omega, state.gamma)
+            candidates = generate_candidates(
+                tree.data,
+                node.omega,
+                state,
+                model,
+                config.n_candidates_per_dim * config.dim,
+                rngs["candidates"],
+            )
+            weights = weight_pattern(config.n_par, proposal_count)
+            X = candidates[select_batch(candidates, model, weights)]
+            proposal_count += 1
 
-        model = fit_rbf(data, node.omega, state.gamma)
-        candidates = generate_candidates(
-            data,
-            node.omega,
-            state,
-            model,
-            config.n_candidates_per_dim * d,
-            rngs["candidates"],
-        )
-        weights = weight_pattern(config.n_par, proposal_count)
-        X_new = candidates[select_batch(candidates, model, weights)]
-        proposal_count += 1
-
-        event = tree.advance(X_new, rec.evaluate(evaluator, X_new), model, rngs["zoomout"])
+        event = tree.advance(X, rec.evaluate(evaluator, X), model, rngs["zoomout"])
         if event == EVENT_RESTART:
             pending = design_batches()
         rec.log(iteration, event, node.node_id, node.zoom_level, state)

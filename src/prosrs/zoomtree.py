@@ -3,30 +3,34 @@
 A node holds a domain and the exploitation state driving proposals there; the
 evaluations live on the tree. Its archive holds every evaluation since the last
 restart, and the current node's data is that archive restricted to the node's
-box. The tree has one entry point after each proposal batch,
-``ZoomTree.advance``: it records the batch, advances the current node's
-exploitation schedule, and makes the tree's move, which it returns as the
-batch's event. Zooming in shrinks the domain around the current
-surrogate-best point by the zoom factor (clipped at the parent's walls);
-zooming out returns to the parent with the node's own small probability. Once
-a would-be child is finer than the resolution threshold relative to the root
-domain, holds fewer than two evaluations, or is too thin to represent in
-floating point, the run restarts from a fresh design: its one tree drops every
-node and evaluation and starts again from an empty root.
+box. The tree takes every evaluated batch through one entry point,
+``ZoomTree.advance``. A design batch is only recorded, at the current node,
+which is the root while a design runs. A proposal batch is recorded, advances
+the current node's exploitation schedule, and makes the tree's move, which
+``advance`` returns as the batch's event. Zooming in shrinks the domain
+around the current surrogate-best point by the zoom factor (clipped at the
+parent's walls), revisiting the existing child whose centre is nearest,
+measured by ``_kernels.squared_distances``, when the point lies in several;
+zooming out returns to the parent with the node's own small probability.
+Once a would-be child is finer than the resolution threshold relative to the
+root domain, holds fewer than two evaluations, or is too thin to represent
+in floating point, the run restarts from a fresh design: its one tree drops
+every node and evaluation and starts again from an empty root.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 
 import numpy as np
 
+from ._kernels import squared_distances
 from .problem import BoxDomain, EvalDataset, ExploitState, RunConfig
 from .srs import best_fit_index
 
 __all__ = [
+    "EVENT_DOE",
     "EVENT_NORMAL",
     "EVENT_RESTART",
     "EVENT_ZOOM_IN",
@@ -40,7 +44,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# The tree's move after a proposal batch, as ``ZoomTree.advance`` returns it.
+# The batch's event, as ``ZoomTree.advance`` returns it: a design batch, or
+# the tree's move after a proposal batch.
+EVENT_DOE = "doe"
 EVENT_NORMAL = "normal"
 EVENT_ZOOM_IN = "zoom_in"
 EVENT_ZOOM_OUT = "zoom_out"
@@ -155,7 +161,7 @@ class ZoomTree:
     def __init__(self, root_domain: BoxDomain, config: RunConfig):
         self.root_domain = root_domain
         self.config = config
-        self._ids = itertools.count()
+        self._next_id = 0
         self.restart()
 
     @property
@@ -174,8 +180,9 @@ class ZoomTree:
         self.archive = EvalDataset(np.empty((0, self.root_domain.dim)), np.empty(0))
         self.root = ZoomNode(
             self.root_domain, self.config.s_init, self.config.beta_init,
-            node_id=next(self._ids),
+            node_id=self._next_id,
         )
+        self._next_id += 1
         self.current = self.root
 
     def record_batch(self, X, y) -> None:
@@ -184,20 +191,26 @@ class ZoomTree:
         self.data = self.data.with_batch(X, y)
 
     def advance(self, X, y, model, rng: np.random.Generator) -> str:
-        """Record a proposal batch at the current node and make the tree's move.
+        """Record a batch at the current node and make the tree's move.
 
-        The batch fails unless its best response is strictly below the
-        current data's best. The batch is recorded, and the node's schedule
-        advances by the data's effective count and the failure. Once sigma
-        drops below sigma_crit the tree zooms in around the data point with
-        the lowest prediction of ``model``, the surrogate fitted before the
-        batch. It restarts instead when the would-be child cannot be
-        represented, holds fewer than two points (a fit needs two), or
-        resolves below the threshold. The tree then zooms out with the
-        current node's probability, drawn from ``rng``; the root, where a
-        restart leaves it, stays without a draw. Returns the move:
-        ``normal``, ``zoom_in``, ``restart`` or ``zoom_out``.
+        A design batch comes with ``model`` None: it is recorded and
+        ``doe`` returned, with no step of the schedule, no zoom and no draw
+        from ``rng``. A proposal batch fails unless its best response is
+        strictly below the current data's best. The batch is recorded, and
+        the node's schedule advances by the data's effective count and the
+        failure. Once sigma drops below sigma_crit the tree zooms in around
+        the data point with the lowest prediction of ``model``, the
+        surrogate fitted before the batch. It restarts instead when the
+        would-be child cannot be represented, holds fewer than two points
+        (a fit needs two), or resolves below the threshold. The tree then
+        zooms out with the current node's probability, drawn from ``rng``;
+        the root, where a restart leaves it, stays without a draw. Returns
+        the batch's event: ``doe``, ``normal``, ``zoom_in``, ``restart`` or
+        ``zoom_out``.
         """
+        if model is None:
+            self.record_batch(X, y)
+            return EVENT_DOE
         node = self.current
         failed = bool(y.min() >= self.data.y.min())
         self.record_batch(X, y)
@@ -224,14 +237,15 @@ class ZoomTree:
         whose domain has rho-fractional side lengths centered at x_star,
         clipped (not shifted) at the parent's walls; it starts from the
         initial state and zoom-out probability. Otherwise the containing child
-        whose domain center is nearest to x_star (ties: earliest-created) is
-        revisited: its zoom-out probability halves (floored at beta_min); its
-        state persists. Either way the parent's state and failure counter
-        reset, and the child becomes the current node, its data drawn from
-        the archive. A new child whose clipped bounds round to equal values
-        on some axis cannot be represented: then nothing changes and None is
-        returned, and ``advance`` restarts as for a child finer than the
-        resolution threshold.
+        whose domain center has the smallest squared distance to x_star
+        (ties: earliest-created) is revisited: its zoom-out probability
+        halves (floored at beta_min); its state persists. Either way the
+        parent's state and failure counter reset, and the child becomes the
+        current node, its data drawn from the archive. A new child whose
+        clipped bounds round to equal values on some axis cannot be
+        represented: then nothing changes and None is returned, and
+        ``advance`` restarts as for a child finer than the resolution
+        threshold.
         """
         node = self.current
         x_star = np.asarray(x_star, dtype=float)
@@ -241,7 +255,7 @@ class ZoomTree:
         containing = [c for c in node.children if c.omega.contains(x_star)]
         if containing:
             centers = np.array([c.omega.center() for c in containing])
-            child = containing[int(np.argmin(np.linalg.norm(centers - x_star, axis=1)))]
+            child = containing[int(np.argmin(squared_distances(centers, x_star)))]
             child.beta = max(child.beta / 2.0, self.config.beta_min)
         else:
             half = 0.5 * self.config.rho * node.omega.side_lengths
@@ -251,8 +265,9 @@ class ZoomTree:
                 return None
             child = ZoomNode(
                 BoxDomain(lower, upper), self.config.s_init, self.config.beta_init,
-                parent=node, node_id=next(self._ids),
+                parent=node, node_id=self._next_id,
             )
+            self._next_id += 1
             node.children.append(child)
 
         node.state = self.config.s_init

@@ -6,7 +6,6 @@ import pytest
 from prosrs import engine
 from prosrs.benchmarks import NoisyBatchEvaluator, benchmark_objective, make_benchmark
 from prosrs.engine import (
-    EVENT_DOE,
     run_prosrs,
     run_random_search,
     serial_evaluator,
@@ -20,7 +19,7 @@ from prosrs.problem import (
     default_config,
     stream_seedseq,
 )
-from prosrs.zoomtree import EVENT_NORMAL, EVENT_RESTART
+from prosrs.zoomtree import EVENT_DOE, EVENT_NORMAL, EVENT_RESTART
 
 
 def sphere_objective(d=2):

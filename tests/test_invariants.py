@@ -2,6 +2,7 @@
 degenerate ones included, checked on random configs."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from oracles import max_zoom_level
 from prosrs.engine import run_prosrs
-from prosrs.problem import BoxDomain, Objective, default_config
+from prosrs.problem import BoxDomain, ExploitState, Objective, default_config
+from prosrs.zoomtree import ZoomTree
 
 # Degenerate landscapes: flat, piecewise flat, tiny and huge scales, one
 # whose rounding makes many responses equal, and one whose minimum sits on a
@@ -35,6 +37,12 @@ def run_configs(draw):
         n_iterations=draw(st.integers(1, 12)),
         n_candidates_per_dim=draw(st.integers(-(-n_par // d), 30)),
         c_fail=draw(st.integers(1, 3)),
+        # Exploiting from the first batch, and zooming after one halving of
+        # sigma, make the short runs zoom in, zoom out and restart.
+        s_init=ExploitState(0.0, draw(st.sampled_from([1.0, 0.05])), 0.1),
+        sigma_crit=draw(st.floats(0.025, 0.09)),
+        beta_init=0.5,
+        beta_min=0.25,
         r_resolution=draw(st.floats(0.05, 0.5)),
         rho=draw(st.floats(0.2, 0.8)),
         seed=draw(st.integers(0, 2**16)),
@@ -47,7 +55,19 @@ def test_run_invariants_hold_on_degenerate_objectives(config, landscape):
     d = config.dim
     domain = BoxDomain(np.full(d, -1.0), np.full(d, 2.0))
     objective = Objective(d, domain, LANDSCAPES[landscape])
-    with warnings.catch_warnings():
+    # Every batch passes through ZoomTree.advance, at the node that took it.
+    # Hypothesis refuses function-scoped fixtures, so the patch is made here.
+    advance = ZoomTree.advance
+    events = []
+
+    def checked(tree, X, y, model, rng):
+        assert tree.current.omega.contains(X).all()
+        assert model is None or len(model.centers) >= 2
+        events.append(advance(tree, X, y, model, rng))
+        assert tree.current.omega.contains(tree.data.X).all()
+        return events[-1]
+
+    with warnings.catch_warnings(), mock.patch.object(ZoomTree, "advance", checked):
         warnings.simplefilter("error")
         result = run_prosrs(objective, config)
 
@@ -57,3 +77,4 @@ def test_run_invariants_hold_on_degenerate_objectives(config, landscape):
     assert all(later <= earlier for earlier, later in zip(best, best[1:]))
     assert all(log.zoom_level <= bound for log in result.logs)
     assert result.n_evaluations == config.m_doe + config.n_par * config.n_iterations
+    assert events == [log.event for log in result.logs]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from prosrs import _kernels
 from prosrs.benchmarks import BenchmarkProblem
@@ -77,6 +77,54 @@ class TestMultiquadricProduct:
             _kernels.update_min_dists(np.full(t, np.inf), pts, ref),
             _kernels.min_dists(pts, ref[None]),
         )
+
+
+def cdist_rows(a, b):
+    """scipy's squared distance between each row of ``a`` and the matching
+    row of ``b``, one pair at a time."""
+    return np.array([cdist(x[None], y[None], "sqeuclidean")[0, 0] for x, y in zip(a, b)])
+
+
+class TestSquaredDistances:
+    """``squared_distances`` is scipy's sqeuclidean bit for bit, in every
+    layout that its callers pass."""
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 10, 20])
+    def test_stack_against_one_point(self, d):
+        # update_min_dists passes the point as (d,), zoom_in too; (1, d)
+        # broadcasts the same way.
+        rng = np.random.default_rng(d)
+        pts, ref = rng.normal(size=(300, d)), rng.normal(size=d)
+        want = cdist(pts, ref[None], "sqeuclidean")[:, 0]
+        for point in (ref, ref[None]):
+            got = _kernels.squared_distances(pts, point)
+            assert got.shape == (300,)
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 20])
+    def test_row_pairs_in_any_layout(self, d):
+        # C order, Fortran order, and every other row of a stack twice as
+        # long, against C-ordered and strided partners: min_dists' exact
+        # step pairs a block of rows with their nearest refs.
+        rng = np.random.default_rng(10 + d)
+        a, b = rng.uniform(-3, 3, size=(2, 50, d))
+        want = cdist_rows(a, b)
+        for x in (a, np.asfortranarray(a), np.repeat(a, 2, axis=0)[::2]):
+            for y in (b, np.repeat(b, 3, axis=0)[::3]):
+                np.testing.assert_array_equal(_kernels.squared_distances(x, y), want)
+
+    @pytest.mark.parametrize("m,d", [(2, 1), (7, 3), (12, 10)])
+    def test_design_stacks_equal_pdist(self, m, d):
+        # The maximin design's layout: designs laid out (design, axis,
+        # point), the pairs gathered along the points and viewed as
+        # (design, pair, axis).
+        rng = np.random.default_rng(m)
+        by_axis = rng.uniform(size=(5, d, m))
+        first, second = np.triu_indices(m, 1)
+        a, b = by_axis[:, :, first], by_axis[:, :, second]
+        got = _kernels.squared_distances(a.transpose(0, 2, 1), b.transpose(0, 2, 1))
+        for design, pairs in zip(by_axis.transpose(0, 2, 1), got):
+            np.testing.assert_array_equal(pairs, pdist(design, "sqeuclidean"))
 
 
 @pytest.mark.parametrize("cols", [1, 37, 400, 2049])

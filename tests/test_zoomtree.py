@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from prosrs.problem import BoxDomain, EvalDataset, ExploitState, default_config
 from prosrs.srs import best_fit_index
 from prosrs.surrogate import fit_rbf
 from prosrs.zoomtree import (
+    EVENT_DOE,
     EVENT_NORMAL,
     EVENT_RESTART,
     EVENT_ZOOM_IN,
@@ -225,6 +227,33 @@ class TestZoomIn:
         tree.current = tree.root
         chosen = tree.zoom_in(np.array([0.58, 0.5]))
         assert chosen is b
+
+    def test_nearest_center_by_squared_distance_matches_the_norm_at_d_10(self):
+        # Overlapping children of a 10-D root, and zoom centres that lie in
+        # several of them: the squared-distance pick is the pick of the
+        # Euclidean norm, which numpy sums pairwise at d >= 8.
+        d, rng = 10, np.random.default_rng(9)
+        tree = ZoomTree(box(0, 1, d), default_config(d, 1))
+        tree.record_batch(rng.uniform(0, 1, size=(40, d)), rng.normal(size=40))
+        for center in 0.5 + rng.uniform(-0.25, 0.25, size=(30, d)):
+            tree.zoom_in(center)
+            tree.current = tree.root
+        children = tree.root.children
+        picks = []
+        for x_star in 0.5 + rng.uniform(-0.1, 0.1, size=(300, d)):
+            containing = [c for c in children if c.omega.contains(x_star)]
+            if len(containing) < 2:
+                continue
+            centers = np.array([c.omega.center() for c in containing])
+            want = containing[int(np.argmin(np.linalg.norm(centers - x_star, axis=1)))]
+            assert tree.zoom_in(x_star) is want
+            tree.current = tree.root
+            picks.append((len(containing), containing.index(want)))
+        assert len(tree.root.children) == len(children)
+        # Many centres lay in three or more children, and the nearest was
+        # often not the earliest.
+        assert sum(n >= 3 for n, _ in picks) >= 100
+        assert sum(i > 0 for _, i in picks) >= 100
 
     def test_child_that_rounds_to_zero_width_is_not_made(self):
         # A root 2 ulps wide on the first axis: the child's bounds round to
@@ -451,6 +480,36 @@ class TestAdvance:
         else:
             assert got == EVENT_ZOOM_IN and tree.current.parent is old_root
 
+    def test_design_batch_is_only_recorded(self):
+        # At a child about to zoom, whose coin always comes up: a design
+        # batch moves nothing, steps no schedule and draws nothing.
+        rng = np.random.default_rng(23)
+        tree = self.tree(rng.uniform(0, 1, size=(30, 2)), rng.normal(size=30))
+        child = tree.zoom_in(np.array([0.5, 0.5]))
+        child.state, child.fail_counter = self.ABOUT_TO_ZOOM, tree.config.c_fail - 1
+        child.beta = 1.0
+        n_archive, n_data = len(tree.archive), len(tree.data)
+        draws = np.random.default_rng(0)
+        before = draws.bit_generator.state
+        X = np.array([[0.45, 0.5], [0.55, 0.6]])
+        assert tree.advance(X, np.array([50.0, 60.0]), None, draws) == EVENT_DOE == "doe"
+        assert tree.current is child
+        assert child.state == self.ABOUT_TO_ZOOM
+        assert child.fail_counter == tree.config.c_fail - 1 and child.beta == 1.0
+        assert draws.bit_generator.state == before
+        assert len(tree.archive) == n_archive + 2 and len(tree.data) == n_data + 2
+        np.testing.assert_array_equal(tree.archive.X[-2:], X)
+        np.testing.assert_array_equal(tree.data.X[-2:], X)
+        np.testing.assert_array_equal(tree.data.y[-2:], [50.0, 60.0])
+
+    def test_design_batch_into_an_empty_root(self):
+        # After a restart the root holds no data, and no best to compare.
+        tree = ZoomTree(box(0, 1, 2), default_config(2, 2))
+        X = np.array([[0.25, 0.25], [0.75, 0.75]])
+        assert tree.advance(X, np.array([1.0, 2.0]), None, np.random.default_rng(0)) == EVENT_DOE
+        assert tree.current is tree.root and tree.root.state == tree.config.s_init
+        np.testing.assert_array_equal(tree.data.X, X)
+
     def test_root_does_not_draw(self):
         rng = np.random.default_rng(22)
         tree = self.tree(rng.uniform(0, 1, size=(10, 2)), rng.normal(size=10))
@@ -533,6 +592,27 @@ class TestTreeStructure:
             assert child.node_id not in ids
             ids.add(child.node_id)
             tree.current = tree.root
+
+    def test_pickled_tree_continues_the_node_ids(self):
+        # A tree pickles between batches, warnings as errors included, and
+        # its copy numbers new nodes as the original does.
+        rng = np.random.default_rng(17)
+        tree = ZoomTree(box(0, 1, 2), default_config(2, 1))
+        tree.record_batch(rng.uniform(0, 1, size=(50, 2)), rng.normal(size=50))
+        tree.zoom_in(np.array([0.3, 0.3]))
+        # No part of it pickles through itertools, whose iterators stop
+        # pickling in Python 3.14 and warn from 3.12.
+        saved = pickle.dumps(tree)
+        assert b"itertools" not in saved
+        copy = pickle.loads(saved)
+        assert copy.current.node_id == tree.current.node_id == 1
+        ids = []
+        for t in (tree, copy):
+            t.current = t.root
+            child = t.zoom_in(np.array([0.8, 0.8]))
+            t.restart()
+            ids.append((child.node_id, t.root.node_id))
+        assert ids == [(2, 3), (2, 3)]
 
     def test_design_batches_build_the_root_data(self):
         rng = np.random.default_rng(15)
