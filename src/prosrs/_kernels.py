@@ -10,7 +10,9 @@ design's maximin score, a candidate's distance to each pick in
 ``update_min_dists``, and the zoom tree's nearest child centre) or read off
 the basis: a candidate's distance to its nearest evaluated point, a centre of
 the surrogate, is read off the smallest entry of its basis row in
-``surrogate.predict_batch``, within the bound stated there.
+``surrogate.predict_batch``, within the bound stated there. ``min_dists``,
+the exact nearest distance that the tests hold that reading to, is the
+smallest of each row's squared distances, square-rooted.
 
 ``multiquadric_matrix`` forms 1 + ||a_i - b_j||^2 as one matrix product of
 two factors that carry the squared norms and the 1 as extra columns, after
@@ -24,20 +26,6 @@ so each entry of 1 + r^2 carries an absolute error of about (||a - c||^2 +
 points, over the d + 2 terms and the factors' own rounding, at most (3 d^2 /
 4 + 3 d + 2) eps (see ``surrogate.predict_batch``), and relative to 1 + r^2
 >= 1 that is as small.
-
-``min_dists`` is the exact nearest-distance search, off the run path: the
-tests hold the nearest distances that pool scoring reads off the basis to it.
-It uses the product form only to find each point's nearest refs: in it a
-distance near zero comes out as about sqrt(eps) times the points' norm, an
-error that the basis's +1 absorbs and pool scoring accepts within its bound,
-but an exact search cannot.
-Every ref that the product puts within its error bound of the nearest is then
-measured exactly by ``squared_distances`` (see its docstring). It works on
-blocks of query points, as many as keep the block's product within
-``DIST_CELLS`` entries, and takes one square root at the end, so its memory
-stays bounded however many points are queried; sqrt is monotone and
-correctly rounded, so the result is the same as the minimum of the
-distances.
 
 ``predict_batch`` builds the centres' factor once per call, then maps each
 block of query rows to the unit cube, forms its basis and multiplies it by
@@ -79,11 +67,9 @@ import numpy as np
 # multiple of 64 and at least 64 (see row_blocks). Of 2^14 to 2^19 entries,
 # 2^17 predicted 100 000 points fastest on a 2 MiB-L2 Xeon, by 12% over 2^16.
 BASIS_CELLS = 2**17
-# Entries that a distance kernel holds at once (512 KiB of doubles): the
-# product matrix of min_dists takes as many query rows per block as fit, and
-# the maximin design as many pairs of points, at least one. min_dists also
-# holds a mask and a band per block and reads its product three times, and
-# was 10-25% slower at 2^17 entries than here.
+# Entries that a distance kernel holds at once (512 KiB of doubles): min_dists
+# takes as many query rows per block as fit, and the maximin design as many
+# pairs of points, at least one.
 DIST_CELLS = 2**16
 
 
@@ -134,56 +120,21 @@ def squared_distances(a, b) -> np.ndarray:
 def min_dists(points, refs) -> np.ndarray:
     """Distance from each row of ``points`` to its nearest row of ``refs``.
 
-    With c the mean of the refs, a = p - c and b = r - c, one product
-    [a, 1] . [-2 b, ||b||^2] gives v = ||p - r||^2 - ||a||^2 for a block of
-    rows against all refs, so the smallest v marks the nearest ref. Each v
-    is off by at most 1.5 (d + 2) eps (||a||^2 + ||b||^2), and the squared
-    distance that scipy's ``cdist`` computes (coordinate by coordinate, in
-    order) is off the true one by at most (d + 2) eps (||a||^2 + ||b||^2).
-    So the ref with the smallest computed distance has a v within
-    5 (d + 2) eps (||a||^2 + max ||b||^2) of the row's smallest v. Every ref
-    in that band, widened by a factor of two, is measured exactly and the
-    smallest measure is kept: the result is cdist's minimum bit for bit by
-    construction, not only when the product picks the right ref. Most rows
-    have one ref in the band; a near tie costs a few more exact measures.
+    Each row's smallest ``squared_distances`` to the refs, square-rooted: as
+    the summation is scipy's and sqrt is monotone and correctly rounded, this
+    is ``cdist(points, refs).min(axis=1)`` bit for bit. The rows go in
+    blocks of as many as keep a block's distances within ``DIST_CELLS``
+    entries, at least one, so memory stays bounded however many points are
+    queried.
     """
     points, refs = _c2d(points), _c2d(refs)
     if refs.shape[0] == 0:
         raise ValueError("refs must be nonempty")
-    d = refs.shape[1]
-    c = refs.mean(axis=0)
-    q = np.empty((d + 1, refs.shape[0]))
-    qb = np.subtract(refs.T, c[:, None], out=q[:d])
-    q[d] = np.einsum("ij,ij->j", qb, qb)
-    qb *= -2.0
-    # The bound of the docstring, doubled to cover the rounding of the band.
-    tol = 2 * 5 * (d + 2) * np.finfo(float).eps
-    reach = q[d].max()
-    t = points.shape[0]
-    out = np.empty(t)
-    # Buffers shared by the blocks: a fresh product matrix per block would
-    # cost more in page faults than the product itself.
-    size = max(1, min(t, DIST_CELLS // refs.shape[0]))
-    p_buf, v_buf = np.empty((size, d + 1)), np.empty((size, refs.shape[0]))
-    p_buf[:, d] = 1.0
-    for start in range(0, t, size):
-        block = slice(start, min(start + size, t))
-        x = points[block]
-        n = x.shape[0]
-        p, v, rows = p_buf[:n], v_buf[:n], np.arange(n)
-        pa = np.subtract(x, c, out=p[:, :d])
-        np.matmul(p, q, out=v)
-        nearest = v.argmin(axis=1)
-        band = tol * (np.einsum("ij,ij->i", pa, pa) + reach) + v[rows, nearest]
-        exact = squared_distances(x, refs[nearest])
-        # The nearest is never above its own band, so exactly one ref per row
-        # is not above it unless some row has a near tie or a NaN band, and
-        # then every ref not above the band is measured too.
-        above = v > band[:, None]
-        if np.count_nonzero(above) != above.size - n:
-            i, j = np.nonzero(~above)
-            np.minimum.at(exact, i, squared_distances(x[i], refs[j]))
-        out[block] = exact
+    out = np.empty(points.shape[0])
+    size = max(1, DIST_CELLS // refs.shape[0])
+    for start in range(0, points.shape[0], size):
+        block = slice(start, start + size)
+        out[block] = squared_distances(points[block, None, :], refs).min(axis=1)
     return np.sqrt(out, out=out)
 
 

@@ -31,11 +31,9 @@ class EvaluationError(RuntimeError):
 # Candidate spread and the surrogate live in unit-cube coordinates; what a run
 # still forms in original coordinates is at most a squared distance between
 # two points of the box, D^2 plus its rounding: the design's maximin score and
-# the zoom tree's distance from the zoom centre to a child's centre. 4 D^2
-# covers that with room to spare, and also what the exact reference
-# _kernels.min_dists forms on points of a box in original coordinates: |v| <=
-# 3 D^2 for its product v = -2 a.b + ||b||^2 (a = p - c, b = r - c), plus a
-# band of at most 2 tol D^2, tol being 10 (d + 2) eps. So the value stays 4.
+# the zoom tree's distance from the zoom centre to a child's centre. The tests'
+# exact reference _kernels.min_dists forms only such squared distances too.
+# 4 D^2 covers them with room to spare.
 _SQUARED_DIAGONAL_MARGIN = 4.0
 
 

@@ -11,8 +11,9 @@ Spread is measured to the model's centres, the evaluated points of the node,
 in the unit-cube coordinates that the surrogate is fitted in. The pool's one
 ``predict_batch`` pass yields each candidate's nearest-centre distance from
 its basis row; ``_kernels.update_min_dists`` refreshes it with each pick.
-``_kernels.min_dists``, an exact nearest-distance search, is off the run
-path: it is the reference that the tests hold this scoring to.
+``_kernels.min_dists``, the exact nearest distance (scipy's ``cdist``
+minimum bit for bit), is off the run path: it is the reference that the
+tests hold this scoring to.
 """
 
 from __future__ import annotations

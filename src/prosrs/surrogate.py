@@ -180,7 +180,8 @@ def predict_batch(model: RbfSurrogate, X, *, unit=None, nearest=None) -> np.ndar
     (3 d + 2) eps. So against the exact nearest distance r, |r'^2 - r^2| <= E
     = (d + 3)^2 eps and |r' - r| <= min(sqrt(E), E / r): a row equal to a
     centre can read up to (d + 3) sqrt(eps), 1.9e-7 at d = 10, instead of 0.
-    ``_kernels.min_dists`` is the exact reference.
+    ``_kernels.min_dists``, each row's smallest squared distance summed as
+    scipy's ``cdist`` sums it, square-rooted, is the exact reference.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     norm, d = model.norm_record, model.norm_record.dim

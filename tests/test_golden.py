@@ -5,8 +5,13 @@ one shorter run per benchmark problem, the event, node-id and zoom-level
 sequences, the ridge parameter lambda of every surrogate fit and the exact
 ``repr`` of every proposed point and response; a
 digest of the first design of every problem at several batch sizes over ten
-seeds; and the relative L2 error of three model-error trials. A refactor that claims to keep behaviour must keep this file
-byte-identical; a change that alters the numbers on purpose rewrites it with
+seeds; and the relative L2 error of three model-error trials.
+``tests/golden/cli_tree.json`` records the SHA-256 of every file that a short
+``bench-suite`` over all twelve problems and a small ``model-error`` study
+write: CSV formatting, the per-run summaries, the aggregates and the suite
+summary, which the fingerprint does not hold. A refactor that claims to keep
+behaviour must keep both files byte-identical; a change that alters the
+numbers on purpose rewrites both with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +33,7 @@ from prosrs.benchmarks import BENCHMARK_NAMES
 from prosrs.problem import default_config, derive_streams, stream_seedseq
 
 GOLDEN = Path(__file__).parent / "golden" / "fingerprint.json"
+CLI_TREE = Path(__file__).parent / "golden" / "cli_tree.json"
 
 ITERATIONS = 15
 SEEDS = (0, 1)
@@ -64,6 +71,15 @@ DESIGN_SEEDS = range(10)
 # (n_par, iterations, seed) of one short run per problem, so that candidate
 # scoring runs on every domain shape.
 SHORT_RUN = (4, 5, 9)
+# The CLI invocations whose output trees cli_tree.json locks, each writing
+# into its own subdirectory: 37 files from the suite and one from model-error.
+CLI_RUNS = {
+    "bench-suite": ("bench-suite", "--iterations", "10", "--repeats", "1", "--timing", "zero"),
+    "model-error": (
+        "model-error", "--problem", "Rastrigin2,Hartmann6", "--n-values", "10,50",
+        "--repeats", "2", "--n-mc", "2000",
+    ),
+}
 
 
 def _reprs(a) -> str:
@@ -145,6 +161,18 @@ def fingerprint() -> dict:
     }
 
 
+def cli_tree(out: Path) -> dict:
+    """Run CLI_RUNS into ``out`` and return the SHA-256 of every file they
+    wrote, keyed by its path relative to ``out``."""
+    for sub, argv in CLI_RUNS.items():
+        assert cli.main([*argv, "--out", str(out / sub)]) == 0
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file()
+    }
+
+
 def test_golden_fingerprint_is_unchanged():
     expected = json.loads(GOLDEN.read_text())
     actual = fingerprint()
@@ -158,7 +186,14 @@ def test_golden_fingerprint_is_unchanged():
                 assert actual[section][key][field] == values, f"{key}: {field} changed"
 
 
+def test_cli_output_trees_are_unchanged(tmp_path):
+    assert cli_tree(tmp_path) == json.loads(CLI_TREE.read_text())
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(fingerprint(), indent=1) + "\n")
     print(f"wrote {GOLDEN}")
+    with tempfile.TemporaryDirectory() as out:
+        CLI_TREE.write_text(json.dumps(cli_tree(Path(out)), indent=1) + "\n")
+    print(f"wrote {CLI_TREE}")

@@ -104,14 +104,26 @@ class TestSquaredDistances:
     @pytest.mark.parametrize("d", [1, 2, 10, 20])
     def test_row_pairs_in_any_layout(self, d):
         # C order, Fortran order, and every other row of a stack twice as
-        # long, against C-ordered and strided partners: min_dists' exact
-        # step pairs a block of rows with their nearest refs.
+        # long, against C-ordered and strided partners.
         rng = np.random.default_rng(10 + d)
         a, b = rng.uniform(-3, 3, size=(2, 50, d))
         want = cdist_rows(a, b)
         for x in (a, np.asfortranarray(a), np.repeat(a, 2, axis=0)[::2]):
             for y in (b, np.repeat(b, 3, axis=0)[::3]):
                 np.testing.assert_array_equal(_kernels.squared_distances(x, y), want)
+
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    def test_rows_against_every_ref(self, d):
+        # min_dists' layout: a block of rows as (k, 1, d) against all (m, d)
+        # refs, the rows in C order, Fortran order, and every other row of a
+        # stack twice as long.
+        rng = np.random.default_rng(30 + d)
+        pts, refs = rng.uniform(-3, 3, size=(40, d)), rng.uniform(-3, 3, size=(17, d))
+        want = cdist(pts, refs, "sqeuclidean")
+        for x in (pts, np.asfortranarray(pts), np.repeat(pts, 2, axis=0)[::2]):
+            got = _kernels.squared_distances(x[:, None, :], refs)
+            assert got.shape == (40, 17)
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("m,d", [(2, 1), (7, 3), (12, 10)])
     def test_design_stacks_equal_pdist(self, m, d):
