@@ -111,32 +111,43 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _load_problem(name: str, seed: int):
-    """A benchmark name, or ``package.module:factory`` for plug-ins.
+def _problem_source(name: str):
+    """What a ``--problem`` name stands for: a benchmark problem, or for
+    ``package.module:attr`` the plug-in Objective or factory it imports.
 
-    The factory is called with the repeat's master seed and must return an
-    Objective; an Objective instance is used as-is. A factory whose signature
-    does not take the seed is a ValueError before the call, so a TypeError
-    from inside a factory's body still propagates.
+    A factory is checked, not called: one whose signature does not take the
+    seed is a ValueError, so a TypeError from inside a factory's body still
+    propagates when it is called. An unknown benchmark, an import that fails
+    and any other attribute are errors too.
     """
-    if ":" in name:
-        mod_name, _, attr = name.partition(":")
-        obj = getattr(importlib.import_module(mod_name), attr)
-        if isinstance(obj, Objective):
-            return obj
-        if not callable(obj):
-            raise ValueError(f"plug-in {name!r} is neither an Objective nor a factory")
-        try:
-            inspect.signature(obj).bind(seed)
-        except ValueError:  # no inspectable signature: call it as it is
-            pass
-        except TypeError as exc:
-            raise ValueError(f"plug-in factory {name!r} cannot be called with the seed ({exc})")
-        made = obj(seed)
-        if not isinstance(made, Objective):
-            raise ValueError(f"plug-in {name!r} did not produce an Objective")
-        return made
-    return make_benchmark(name)
+    if ":" not in name:
+        return make_benchmark(name)
+    mod_name, _, attr = name.partition(":")
+    obj = getattr(importlib.import_module(mod_name), attr)
+    if isinstance(obj, Objective):
+        return obj
+    if not callable(obj):
+        raise ValueError(f"plug-in {name!r} is neither an Objective nor a factory")
+    try:
+        inspect.signature(obj).bind(0)  # the seed, an int
+    except ValueError:  # no inspectable signature: call it as it is
+        pass
+    except TypeError as exc:
+        raise ValueError(f"plug-in factory {name!r} cannot be called with the seed ({exc})")
+    return obj
+
+
+def _load_problem(name: str, seed: int):
+    """The problem ``name`` stands for in the repeat with master seed ``seed``:
+    a benchmark problem, a plug-in Objective as it is, or what a plug-in
+    factory makes of the seed, which must be an Objective."""
+    source = _problem_source(name)
+    if isinstance(source, (BenchmarkProblem, Objective)):
+        return source
+    made = source(seed)
+    if not isinstance(made, Objective):
+        raise ValueError(f"plug-in {name!r} did not produce an Objective")
+    return made
 
 
 def cost_ratio(algo_times) -> float:
@@ -245,7 +256,7 @@ def _run_repeat(spec: ExperimentSpec, problem_name: str, seed: int):
         "x_best": [float(v) for v in np.atleast_1d(result.x_best)],
         "y_best": float(result.y_best),
         "n_evaluations": int(result.n_evaluations),
-        "config": asdict(result.config_echo),
+        "config": asdict(config),
     }
     if real_timing:
         ratio = cost_ratio([log.algo_time_s for log in result.logs if log.iteration >= 1])
@@ -283,6 +294,8 @@ def _optimize_into(spec: ExperimentSpec, problems) -> list:
     evaluator failure the partial log of the failing run is written, nothing
     after it, and the failure is raised as an EvaluationError.
     """
+    for name, _ in problems:
+        _problem_source(name)  # every name is checked before the first run
     tasks = [(i, spec.seed + rep) for i in range(len(problems)) for rep in range(spec.repeats)]
     per_run_rows = [[] for _ in problems]
     with _repeat_outputs(spec, [(problems[i][0], seed) for i, seed in tasks]) as outputs:
@@ -370,15 +383,16 @@ def model_error_trial(
 
 def cmd_model_error(spec: ExperimentSpec) -> int:
     rows = []
-    for name in _problem_names(spec):
-        problem = make_benchmark(name)
+    # Every name is checked before the first trial.
+    problems = [make_benchmark(name) for name in _problem_names(spec)]
+    for problem in problems:
         for n in spec.n_values:
             errs = [
                 model_error_trial(problem, n, spec.seed, rep, spec.n_mc)
                 for rep in range(spec.repeats)
             ]
             errs = np.array(errs)
-            rows.append([name, n, float(errs.mean()), float(errs.std())])
+            rows.append([problem.name, n, float(errs.mean()), float(errs.std())])
     out_dir = Path(spec.out)
     _write_csv(
         out_dir / "model_error.csv",

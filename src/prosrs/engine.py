@@ -15,7 +15,10 @@ node's data, is that archive restricted to the node's box. Runs are
 bit-reproducible given the seed and a deterministic evaluator.
 
 Evaluators own the parallelism: they take a (k, d) batch and return k values
-in order. One clock, kept by the run's recorder, splits the wall time into the
+in order. Both runners set a run up in one place, their recorder: it checks
+the objective against the config and holds the run's evaluator (the
+objective's serial evaluator unless one is given) and its generator streams,
+derived from the config's seed. Its one clock splits the wall time into the
 evaluation barriers and the algorithm's time between them, so algorithm cost
 can be profiled independently of the objective's cost.
 """
@@ -78,13 +81,13 @@ class IterationLog:
 @dataclass(frozen=True)
 class RunResult:
     """Outcome of a run: the evaluated pair with the lowest response, the
-    per-batch logs, and the total evaluation count."""
+    per-batch logs, and the total evaluation count. The caller holds the
+    run's config."""
 
     x_best: np.ndarray
     y_best: float
     logs: list
     n_evaluations: int
-    config_echo: RunConfig
 
 
 def serial_evaluator(objective: Objective) -> Callable:
@@ -109,12 +112,22 @@ def threaded_evaluator(objective: Objective, max_workers: int | None = None) -> 
 
 
 class _Recorder:
-    """Owns every measured fact of a run's logged batches: the log list, the
-    global best, the evaluation count, and one clock. The clock starts when
-    the recorder is made, at the start of a run, and restarts when each
-    evaluation barrier ends."""
+    """A run's setup and every measured fact of its logged batches.
 
-    def __init__(self):
+    Made at the start of a run, it checks that the objective and the config
+    agree on the dimension, and holds the run's evaluator (the objective's
+    serial evaluator when none is given) and its generator streams
+    (``derive_streams(config.seed)``). It then owns the log list, the global
+    best, the evaluation count, and one clock. The clock starts when the
+    recorder is made and restarts when each evaluation barrier ends."""
+
+    def __init__(self, objective: Objective, config: RunConfig, evaluator: Callable | None):
+        if objective.dimension != config.dim:
+            raise ValueError(
+                f"objective dimension {objective.dimension} does not match config dim {config.dim}"
+            )
+        self.evaluator = serial_evaluator(objective) if evaluator is None else evaluator
+        self.rngs = derive_streams(config.seed)
         self.logs = []
         self.best_x = None
         self.best_y = np.inf
@@ -122,13 +135,13 @@ class _Recorder:
         self.batch = None  # (X, y, algo_time_s, eval_time_s) of the last barrier
         self.clock = time.perf_counter()
 
-    def evaluate(self, evaluator, X) -> np.ndarray:
+    def evaluate(self, X) -> np.ndarray:
         """Evaluate a batch in one barrier, validate its responses, and hold
         them with the barrier's timing for the next ``log``."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         start = time.perf_counter()
         try:
-            y = evaluator(X)
+            y = self.evaluator(X)
         except Exception as exc:
             raise EvaluationError(f"evaluator raised: {exc!r}", logs=self.logs) from exc
         end = time.perf_counter()
@@ -165,20 +178,12 @@ class _Recorder:
             )
         )
 
-    def result(self, config: RunConfig) -> RunResult:
+    def result(self) -> RunResult:
         return RunResult(
             x_best=self.best_x,
             y_best=self.best_y,
             logs=self.logs,
             n_evaluations=self.n_evaluations,
-            config_echo=config,
-        )
-
-
-def _check_setup(objective: Objective, config: RunConfig):
-    if objective.dimension != config.dim:
-        raise ValueError(
-            f"objective dimension {objective.dimension} does not match config dim {config.dim}"
         )
 
 
@@ -197,15 +202,11 @@ def run_prosrs(
     OpenBLAS runs on one thread until the call returns or raises, evaluator
     calls included.
     """
-    _check_setup(objective, config)
-    if evaluator is None:
-        evaluator = serial_evaluator(objective)
-    rngs = derive_streams(config.seed)
-    rec = _Recorder()
+    rec = _Recorder(objective, config, evaluator)
     domain = objective.domain
 
     def design_batches():
-        points = latin_hypercube_maximin(config.m_doe, domain, rngs["doe"])
+        points = latin_hypercube_maximin(config.m_doe, domain, rec.rngs["doe"])
         return [points[i : i + config.n_par] for i in range(0, len(points), config.n_par)]
 
     tree = ZoomTree(domain, config)
@@ -225,18 +226,18 @@ def run_prosrs(
                 state,
                 model,
                 config.n_candidates_per_dim * config.dim,
-                rngs["candidates"],
+                rec.rngs["candidates"],
             )
             weights = weight_pattern(config.n_par, proposal_count)
             X = candidates[select_batch(candidates, model, weights)]
             proposal_count += 1
 
-        event = tree.advance(X, rec.evaluate(evaluator, X), model, rngs["zoomout"])
+        event = tree.advance(X, rec.evaluate(X), model, rec.rngs["zoomout"])
         if event == EVENT_RESTART:
             pending = design_batches()
         rec.log(iteration, event, node.node_id, node.zoom_level, state)
 
-    return rec.result(config)
+    return rec.result()
 
 
 def run_random_search(
@@ -245,14 +246,10 @@ def run_random_search(
     evaluator: Callable | None = None,
 ) -> RunResult:
     """Baseline: each iteration evaluates n_par uniform points (no design)."""
-    _check_setup(objective, config)
+    rec = _Recorder(objective, config, evaluator)
     if config.n_iterations < 1:
         raise ValueError("random search needs n_iterations >= 1: it has no design")
-    if evaluator is None:
-        evaluator = serial_evaluator(objective)
-    rngs = derive_streams(config.seed)
-    rec = _Recorder()
     for iteration in range(1, config.n_iterations + 1):
-        rec.evaluate(evaluator, objective.domain.sample_uniform(config.n_par, rngs["candidates"]))
+        rec.evaluate(objective.domain.sample_uniform(config.n_par, rec.rngs["candidates"]))
         rec.log(iteration, EVENT_NORMAL, 0, 0, config.s_init)
-    return rec.result(config)
+    return rec.result()

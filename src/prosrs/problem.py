@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -215,24 +215,26 @@ class ExploitState:
             raise ValueError("sigma must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
-    """Run parameters; ``default_config`` fills in the standard defaults."""
+    """Run parameters. Each field's default is the standard one; ``dim``,
+    ``n_par``, ``m_doe`` and ``c_fail`` have none, since ``default_config``
+    derives them from the dimension and batch size."""
 
     dim: int
     n_par: int
-    n_iterations: int
+    n_iterations: int = 100
     m_doe: int
-    s_init: ExploitState
-    sigma_crit: float
-    beta_init: float
-    beta_min: float
-    rho: float
-    r_resolution: float
+    s_init: ExploitState = ExploitState(gamma=0.0, p=1.0, sigma=0.1)
+    sigma_crit: float = 0.025
+    beta_init: float = 0.02
+    beta_min: float = 0.01
+    rho: float = 0.4
+    r_resolution: float = 0.01
     c_fail: int
-    delta_gamma: float
-    n_candidates_per_dim: int
-    seed: int
+    delta_gamma: float = 2.0
+    n_candidates_per_dim: int = 1000
+    seed: int = 0
 
     def __post_init__(self):
         _check_field_types(self)
@@ -266,33 +268,22 @@ class RunConfig:
 
 
 def default_config(d: int, n_par: int, **overrides) -> RunConfig:
-    """Build a RunConfig with the standard defaults for dimension ``d``.
+    """Build a RunConfig for dimension ``d`` and batch size ``n_par``.
 
-    Defaults: m_doe = ceil(3/n_par)*n_par, s_init = (0, 1, 0.1),
-    sigma_crit = 0.025, beta_init = 0.02, beta_min = 0.01, rho = 0.4,
-    r_resolution = 0.01, c_fail = max(ceil(d/n_par), 2), delta_gamma = 2,
-    1000 candidates per dimension. ``n_iterations`` and ``seed`` default to
-    100 and 0; any field can be overridden by keyword.
+    Only two fields derive from them: m_doe = ceil(3/n_par)*n_par and
+    c_fail = max(ceil(d/n_par), 2). Every other field takes its ``RunConfig``
+    default. Any field can be overridden by keyword, a derived one too, and
+    the config is validated once, as built.
     """
     if d < 1 or n_par < 1:
         raise ValueError("d and n_par must be positive")
-    base = RunConfig(
+    derived = dict(
         dim=d,
         n_par=n_par,
-        n_iterations=100,
         m_doe=math.ceil(3 / n_par) * n_par,
-        s_init=ExploitState(gamma=0.0, p=1.0, sigma=0.1),
-        sigma_crit=0.025,
-        beta_init=0.02,
-        beta_min=0.01,
-        rho=0.4,
-        r_resolution=0.01,
         c_fail=max(math.ceil(d / n_par), 2),
-        delta_gamma=2.0,
-        n_candidates_per_dim=1000,
-        seed=0,
     )
-    return replace(base, **overrides) if overrides else base
+    return RunConfig(**{**derived, **overrides})
 
 
 @dataclass(frozen=True)
@@ -320,19 +311,20 @@ class Objective:
 STREAM_NAMES = ("doe", "candidates", "zoomout", "cv", "noise")
 
 
+def stream_seedseq(seed: int, name: str) -> np.random.SeedSequence:
+    """The seed sequence behind one named stream: the child that
+    ``SeedSequence(seed).spawn`` makes at the name's position in
+    ``STREAM_NAMES``, built directly from that spawn key."""
+    return np.random.SeedSequence(seed, spawn_key=(STREAM_NAMES.index(name),))
+
+
 def derive_streams(seed: int) -> dict[str, np.random.Generator]:
-    """Split one master seed into the named independent generator streams.
+    """Split one master seed into the named independent generator streams,
+    one ``stream_seedseq`` each.
 
     Every source of randomness in a run (DOE designs, candidate draws,
     zoom-out coin flips, benchmark noise) pulls from one of these, so a run is
     bit-reproducible given the seed and a deterministic evaluator. The "cv"
     stream is derived but unused.
     """
-    children = np.random.SeedSequence(seed).spawn(len(STREAM_NAMES))
-    return {name: np.random.default_rng(s) for name, s in zip(STREAM_NAMES, children)}
-
-
-def stream_seedseq(seed: int, name: str) -> np.random.SeedSequence:
-    """The seed sequence behind one named stream of ``derive_streams``."""
-    children = np.random.SeedSequence(seed).spawn(len(STREAM_NAMES))
-    return children[STREAM_NAMES.index(name)]
+    return {name: np.random.default_rng(stream_seedseq(seed, name)) for name in STREAM_NAMES}

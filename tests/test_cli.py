@@ -126,6 +126,36 @@ class TestOptimize:
         assert "os:getcwd" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_plugin_factory_is_called_once_per_repeat_with_its_seed(self, tmp_path, monkeypatch):
+        import plugin_objectives
+
+        seeds = []
+
+        def recorded(seed):
+            seeds.append(seed)
+            return plugin_objectives.quadratic(seed)
+
+        monkeypatch.setattr(plugin_objectives, "recorded", recorded, raising=False)
+        code = run_cli(
+            "optimize", "--problem", "plugin_objectives:recorded", "--repeats", "3",
+            "--seed", "5", "--n-par", "2", "--iterations", "2", "--out", tmp_path,
+        )
+        assert code == 0
+        assert seeds == [5, 6, 7]
+
+    def test_config_dim_that_does_not_match_the_problem_fails_before_evaluating(
+        self, tmp_path, capsys
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"config": {"dim": 3}}))
+        code = run_cli(
+            "optimize", "--problem", "plugin_objectives:unevaluable",
+            "--iterations", "3", "--config", cfg, "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert "does not match config dim" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_type_error_inside_a_factory_propagates(self, tmp_path):
         with pytest.raises(TypeError, match="inside the factory"):
             run_cli(
@@ -243,6 +273,19 @@ class TestBenchSuite:
         with open(tmp_path / "Dropwave2" / "Dropwave2_prosrs_seed0.csv") as f:
             rows = list(csv.DictReader(f))
         assert all(r["algo_time_s"] == "0.0" and r["eval_time_s"] == "0.0" for r in rows)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("late", ["Nope", "no_such_module:f", "os:getcwd"])
+    def test_every_problem_name_is_checked_before_the_first_run(
+        self, tmp_path, capsys, late, jobs
+    ):
+        code = run_cli(
+            "bench-suite", "--problem", f"Rastrigin2,{late}", "--iterations", "2",
+            "--jobs", jobs, "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert late.partition(":")[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestTiming:
@@ -400,6 +443,21 @@ class TestModelError:
         assert code == 2
         assert calls == []
         assert "n-" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_every_problem_name_is_checked_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        from prosrs import cli
+
+        def unevaluable_trial(*args, **kwargs):
+            raise RuntimeError("model-error must not run a trial")
+
+        monkeypatch.setattr(cli, "model_error_trial", unevaluable_trial)
+        code = run_cli(
+            "model-error", "--problem", "Rastrigin2,Nope", "--n-values", "10",
+            "--repeats", "1", "--n-mc", "100", "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert "unknown benchmark 'Nope'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

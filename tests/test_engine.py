@@ -211,8 +211,13 @@ class TestRunProsrs:
     def test_dimension_mismatch_rejected(self):
         obj = sphere_objective(3)
         cfg = default_config(2, 4, n_iterations=2, seed=0)
-        with pytest.raises(ValueError):
-            run_prosrs(obj, cfg)
+
+        def evaluator(X):
+            raise AssertionError("must not be evaluated")
+
+        for runner in (run_prosrs, run_random_search):
+            with pytest.raises(ValueError, match="does not match config dim"):
+                runner(obj, cfg, evaluator)
 
     def test_nonfinite_value_is_fatal_with_partial_logs(self):
         obj = sphere_objective()
@@ -259,6 +264,29 @@ class TestRunProsrs:
         assert all(b2 <= b1 for b1, b2 in zip(ys, ys[1:]))
         for x, y in zip(xs, ys):
             assert obj.eval(x) == y  # noiseless objective
+
+
+@pytest.mark.parametrize("runner", [run_prosrs, run_random_search])
+def test_a_given_evaluator_is_called_even_when_it_is_falsy(runner):
+    # A callable whose len() is 0 is still the evaluator: the default serial
+    # evaluator, which would call the objective, is taken only for None.
+    class Falsy:
+        calls = 0
+
+        def __len__(self):
+            return 0
+
+        def __call__(self, X):
+            self.calls += 1
+            return np.sum(np.atleast_2d(X) ** 2, axis=1)
+
+    def unevaluable(x):
+        raise AssertionError("the objective must not be evaluated")
+
+    evaluator = Falsy()
+    objective = Objective(2, BoxDomain(np.full(2, -1.0), np.ones(2)), unevaluable)
+    result = runner(objective, default_config(2, 2, n_iterations=3), evaluator)
+    assert evaluator.calls == len(result.logs) > 0
 
 
 class TestRandomSearch:

@@ -1,11 +1,15 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from prosrs.problem import (
+    STREAM_NAMES,
     BoxDomain,
     EvalDataset,
     ExploitState,
     Objective,
+    RunConfig,
     clip_to_domain,
     default_config,
     derive_streams,
@@ -253,6 +257,62 @@ class TestDefaultConfig:
             default_config(3, 12, n_candidates_per_dim=3)
         assert default_config(3, 12, n_candidates_per_dim=4).n_par == 12
         assert default_config(1, 12, n_candidates_per_dim=12).n_par == 12
+        # The standard pool of 1000 a dimension cannot fill 2000 slots, but
+        # the config asked for is valid: it is validated once, as built.
+        assert default_config(1, 2000, n_candidates_per_dim=3000).n_par == 2000
+
+    def test_standard_defaults_are_the_fields(self):
+        # Only dim, n_par, m_doe and c_fail have no default of their own.
+        assert [f.name for f in fields(RunConfig)] == [
+            "dim", "n_par", "n_iterations", "m_doe", "s_init", "sigma_crit", "beta_init",
+            "beta_min", "rho", "r_resolution", "c_fail", "delta_gamma",
+            "n_candidates_per_dim", "seed",
+        ]
+        assert RunConfig(dim=7, n_par=2, m_doe=4, c_fail=4) == default_config(7, 2)
+        assert default_config(7, 2).n_iterations == 100 and default_config(7, 2).seed == 0
+
+    def test_overrides_win_over_derived_fields(self):
+        base = default_config(7, 2)
+        assert (base.m_doe, base.c_fail) == (4, 4)
+        for overrides in (
+            {"m_doe": 10},
+            {"c_fail": 1},
+            {"dim": 3},
+            {"dim": 12, "m_doe": 2, "c_fail": 7},
+        ):
+            cfg = default_config(7, 2, **overrides)
+            assert {k: getattr(cfg, k) for k in overrides} == overrides
+        # m_doe and c_fail derive from the arguments, not from an overridden dim.
+        assert default_config(7, 2, dim=1).c_fail == 4
+        # n_par is an argument of its own: the derived fields follow it, and
+        # giving it a second time by keyword is refused.
+        assert default_config(d=7, n_par=3) == replace(base, n_par=3, m_doe=3, c_fail=3)
+        with pytest.raises(TypeError):
+            default_config(7, 2, n_par=3)
+
+    @pytest.mark.parametrize("d, n_par", [(1, 1), (2, 4), (7, 2), (10, 12)])
+    def test_overrides_apply_as_a_replace_of_the_standard_config(self, d, n_par):
+        override_sets = [
+            {}, {"n_iterations": 7}, {"n_iterations": 0}, {"seed": 42}, {"rho": 0.5},
+            {"rho": 0.9, "r_resolution": 0.2}, {"m_doe": 2}, {"m_doe": 24}, {"c_fail": 1},
+            {"c_fail": 9}, {"dim": 1}, {"dim": 3}, {"dim": 10, "c_fail": 3},
+            {"dim": 2, "m_doe": 12, "c_fail": 2}, {"s_init": ExploitState(-1.0, 0.5, 0.2)},
+            {"s_init": ExploitState(0.0, 0.05, 0.3)}, {"sigma_crit": 0.09},
+            {"beta_init": 0.5, "beta_min": 0.25}, {"beta_min": 0.02}, {"beta_init": 0.5},
+            {"r_resolution": 0.1}, {"delta_gamma": 0.5}, {"delta_gamma": 4},
+            {"n_candidates_per_dim": 20}, {"n_candidates_per_dim": 12},
+            {"n_iterations": 80, "c_fail": 1, "r_resolution": 0.1, "beta_init": 0.5,
+             "beta_min": 0.25},
+            {"seed": 3, "n_iterations": 30, "rho": 0.2}, {"sigma_crit": 0.5},
+            {"m_doe": 3, "c_fail": 2, "seed": 1}, {"n_candidates_per_dim": 1000, "seed": 0},
+        ]
+        base = default_config(d, n_par)
+        for overrides in override_sets:
+            assert default_config(d, n_par, **overrides) == replace(base, **overrides)
+        # A set that makes the config invalid is refused, as by the replace.
+        for overrides in ({"m_doe": 1}, {"beta_min": 0.5}, {"dim": 0}, {"c_fail": 0}):
+            with pytest.raises(ValueError):
+                default_config(d, n_par, **overrides)
 
     def test_s_init_must_be_an_exploit_state(self):
         for s_init in ([0.0, 1.0, 0.1], {"gamma": 0.0, "p": 1.0, "sigma": 0.1}):
@@ -286,3 +346,14 @@ class TestStreams:
     def test_stream_seedseq_matches(self):
         gen = np.random.default_rng(stream_seedseq(7, "noise"))
         assert gen.random() == derive_streams(7)["noise"].random()
+
+    def test_each_stream_is_the_master_seeds_child_at_its_position(self):
+        for seed in (0, 7, 2**40):
+            children = np.random.SeedSequence(seed).spawn(len(STREAM_NAMES))
+            streams = derive_streams(seed)
+            assert list(streams) == list(STREAM_NAMES)
+            for name, child in zip(STREAM_NAMES, children):
+                expected = np.random.default_rng(child).integers(0, 2**63, 4)
+                assert np.array_equal(streams[name].integers(0, 2**63, 4), expected)
+                own = np.random.default_rng(stream_seedseq(seed, name))
+                assert np.array_equal(own.integers(0, 2**63, 4), expected)
