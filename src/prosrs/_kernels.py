@@ -1,15 +1,20 @@
 """Hot numeric kernels: pairwise distances and the multiquadric basis matrix.
 
-Everything here is plain numpy. The squared distance between two points is
-summed over the coordinates in order, as
-``scipy.spatial.distance.cdist(..., "sqeuclidean")`` sums it, so both round
-alike. ``squared_distances`` is that summation, and the only one: it adds the
-squared differences one coordinate column at a time into one buffer, for
-stacks of any layout. Every distance that a run compares is summed by it (the
-design's maximin score, a candidate's distance to each pick in
-``update_min_dists``, and the zoom tree's nearest child centre) or read off
-the basis: a candidate's distance to its nearest evaluated point, a centre of
-the surrogate, is read off the smallest entry of its basis row in
+Everything here is plain numpy, and nothing here copies its input: the
+kernels read the float stacks they are handed, in whatever layout, and write
+only their own buffers or the ones a caller passes. Only the package calls
+them, so they neither convert nor check their arguments; ``min_dists``, the
+tests' reference, alone passes its arguments through ``np.atleast_2d``.
+
+The squared distance between two points is summed over the coordinates in
+order, as ``scipy.spatial.distance.cdist(..., "sqeuclidean")`` sums it, so
+both round alike. ``squared_distances`` is that summation, and the only one:
+it adds the squared differences one coordinate column at a time into one
+buffer, for stacks of any layout. Every distance that a run compares is
+summed by it (the design's maximin score, a candidate's distance to each pick
+in ``update_min_dists``, and the zoom tree's nearest child centre) or read
+off the basis: a candidate's distance to its nearest evaluated point, a
+centre of the surrogate, is read off the smallest entry of its basis row in
 ``surrogate.predict_batch``, within the bound stated there. ``min_dists``,
 the exact nearest distance that the tests hold that reading to, is the
 smallest of each row's squared distances, square-rooted.
@@ -93,10 +98,6 @@ def row_blocks(n_rows: int, n_cols: int) -> list:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _c2d(a):
-    return np.atleast_2d(np.ascontiguousarray(a, dtype=np.float64))
-
-
 def squared_distances(a, b) -> np.ndarray:
     """Squared distances between the rows of two stacks of points that
     broadcast together, such as (n, d) against (n, d), (1, d) or (d,).
@@ -127,7 +128,7 @@ def min_dists(points, refs) -> np.ndarray:
     entries, at least one, so memory stays bounded however many points are
     queried.
     """
-    points, refs = _c2d(points), _c2d(refs)
+    points, refs = np.atleast_2d(points, refs)
     if refs.shape[0] == 0:
         raise ValueError("refs must be nonempty")
     out = np.empty(points.shape[0])
@@ -139,23 +140,23 @@ def min_dists(points, refs) -> np.ndarray:
 
 
 def update_min_dists(current, points, new_ref) -> np.ndarray:
-    """Elementwise min of ``current`` and the distance from each row of
-    ``points`` to one new point, summed by ``squared_distances``, as
-    ``min_dists`` sums it, so ``points`` may come in any layout."""
-    current = np.ascontiguousarray(current, dtype=np.float64)
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    new_ref = np.atleast_2d(np.asarray(new_ref, dtype=np.float64))
-    if new_ref.shape != (1, points.shape[1]):
-        raise ValueError(f"new_ref of shape {new_ref.shape} is not one {points.shape[1]}-D point")
-    acc = squared_distances(points, new_ref[0])
+    """Elementwise min of ``current``, shape (t,), and the distance from each
+    row of the (t, d) stack ``points`` to one new point, shape (d,) or (1,
+    d): ``squared_distances``, as ``min_dists`` sums them, a square root and
+    a minimum, in one new array. The arguments are read as given, in any
+    layout, and neither converted nor checked: only the package calls this.
+    """
+    acc = squared_distances(points, new_ref)
     np.sqrt(acc, out=acc)
     return np.minimum(current, acc, out=acc)
 
 
 def multiquadric_factor(b) -> np.ndarray:
     """The centres' factor Q = [-2 b, 1, ||b||^2] of ``multiquadric_matrix``,
-    with ``b`` shifted by the unit cube's centre; shape (n, d + 2)."""
-    b = _c2d(b)
+    with ``b``, an (n, d) stack, shifted by the unit cube's centre; shape (n,
+    d + 2). ``b``'s rows are read in whatever layout they come in, and only
+    the new factor is computed on, so its bits do not depend on that layout.
+    """
     d = b.shape[1]
     q = np.empty((b.shape[0], d + 2))
     qb = np.subtract(b, 0.5, out=q[:, :d])
@@ -174,9 +175,11 @@ def multiquadric_matrix(a, b=None, *, q=None, p=None, out=None) -> np.ndarray:
     in place. A caller that evaluates many stacks against the same centres
     passes their factor ``q = multiquadric_factor(b)`` instead of ``b``, and
     buffers for P, shape (k, d + 2), and the result, shape (k, n), for ``a``
-    of k rows; what it does not pass is allocated.
+    of k rows; what it does not pass is allocated. ``a`` and ``b`` are (k, d)
+    and (n, d) stacks of floats, read as given and never copied: each is
+    read once, into its own factor, and the product sees only the factors,
+    so the result's bits do not depend on the stacks' layouts.
     """
-    a = _c2d(a)
     if q is None:
         q = multiquadric_factor(b)
     k, d = a.shape

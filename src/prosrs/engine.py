@@ -14,8 +14,8 @@ holds every one since the last restart, and ``tree.data``, the current
 node's data, is that archive restricted to the node's box. Runs are
 bit-reproducible given the seed and a deterministic evaluator.
 
-Evaluators own the parallelism: they take a (k, d) batch and return k values
-in order. Both runners set a run up in one place, their recorder: it checks
+Evaluators own the parallelism: they take a read-only (k, d) batch and
+return k values in order. Both runners set a run up in one place, their recorder: it checks
 the objective against the config and holds the run's evaluator (the
 objective's serial evaluator unless one is given) and its generator streams,
 derived from the config's seed. Its one clock splits the wall time into the
@@ -25,6 +25,7 @@ can be profiled independently of the objective's cost.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -38,6 +39,7 @@ from .problem import (
     ExploitState,
     Objective,
     RunConfig,
+    _frozen_array,
     derive_streams,
 )
 from .srs import generate_candidates, select_batch, weight_pattern
@@ -52,17 +54,20 @@ class IterationLog:
     ``iteration`` is 0 for the initial design batches (which do not consume
     the iteration budget) and the 1-based loop index otherwise; design batches
     re-evaluated after a restart do consume the budget and carry their loop
-    index with event="doe". ``best_x_so_far`` and ``best_y_so_far`` are the
-    run's best pair after this batch: the first point to reach the strict
-    running minimum of the responses. The point is the recorder's read-only
-    copy, shared by every row until the next improvement, and the last row's
-    pair is the result's. ``eval_time_s`` is the batch's evaluation
-    barrier. ``algo_time_s`` is the algorithm's time since the previous
-    barrier ended (for the first row, since the run began), so a design's
-    cost lands in its first row: the initial design's in the run's first
-    row, a restart's in the first design row after the restart. Over a run
-    the two columns add up to its wall time, except the bookkeeping after the
-    last barrier.
+    index with event="doe". ``proposed_x`` and ``proposed_y`` are the batch
+    as evaluated: the recorder's read-only copies of the batch it handed the
+    evaluator and of the responses it returned, so an evaluator that reuses
+    its output buffer cannot change a logged row. ``best_x_so_far`` and
+    ``best_y_so_far`` are the run's best pair after this batch: the first
+    point to reach the strict running minimum of the responses. The point is
+    a read-only row of the ``proposed_x`` that holds it, shared by every row
+    until the next improvement, and the last row's pair is the result's.
+    ``eval_time_s`` is the batch's evaluation barrier. ``algo_time_s`` is the
+    algorithm's time since the previous barrier ended (for the first row,
+    since the run began), so a design's cost lands in its first row: the
+    initial design's in the run's first row, a restart's in the first design
+    row after the restart. Over a run the two columns add up to its wall
+    time, except the bookkeeping after the last barrier.
     """
 
     iteration: int
@@ -90,13 +95,17 @@ class RunResult:
     n_evaluations: int
 
 
+def _evaluate_serially(objective: Objective, X) -> np.ndarray:
+    return np.array([objective.eval(x) for x in np.atleast_2d(X)], dtype=float)
+
+
 def serial_evaluator(objective: Objective) -> Callable:
-    """Evaluate a batch one point at a time through ``objective.eval``."""
+    """Evaluate a batch one point at a time through ``objective.eval``.
 
-    def evaluate(X):
-        return np.array([objective.eval(x) for x in np.atleast_2d(X)], dtype=float)
-
-    return evaluate
+    The evaluator is a ``functools.partial`` of a module-level function, so
+    it pickles whenever the objective does, and a recorder that holds it too.
+    """
+    return functools.partial(_evaluate_serially, objective)
 
 
 def threaded_evaluator(objective: Objective, max_workers: int | None = None) -> Callable:
@@ -119,7 +128,14 @@ class _Recorder:
     serial evaluator when none is given) and its generator streams
     (``derive_streams(config.seed)``). It then owns the log list, the global
     best, the evaluation count, and one clock. The clock starts when the
-    recorder is made and restarts when each evaluation barrier ends."""
+    recorder is made and restarts when each evaluation barrier ends.
+
+    ``evaluate`` makes the run's only copies of a batch: the evaluator
+    receives a read-only copy of the (k, d) batch, so an evaluator that
+    writes to it fails the run with ``EvaluationError`` and must copy it
+    first, and the responses are kept as a read-only copy of what the
+    evaluator returned. A logged row holds these two copies, and the best
+    point is a row of the first."""
 
     def __init__(self, objective: Objective, config: RunConfig, evaluator: Callable | None):
         if objective.dimension != config.dim:
@@ -136,16 +152,17 @@ class _Recorder:
         self.clock = time.perf_counter()
 
     def evaluate(self, X) -> np.ndarray:
-        """Evaluate a batch in one barrier, validate its responses, and hold
-        them with the barrier's timing for the next ``log``."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        """Evaluate a read-only copy of the batch in one barrier, validate a
+        read-only copy of its responses, and hold both, with the barrier's
+        timing, for the next ``log``; return the responses."""
+        X = _frozen_array(np.atleast_2d(X))
         start = time.perf_counter()
         try:
             y = self.evaluator(X)
         except Exception as exc:
             raise EvaluationError(f"evaluator raised: {exc!r}", logs=self.logs) from exc
         end = time.perf_counter()
-        y = np.atleast_1d(np.asarray(y, dtype=float))
+        y = _frozen_array(np.atleast_1d(y))
         if y.shape != (X.shape[0],):
             raise EvaluationError(
                 f"evaluator returned shape {y.shape} for a batch of "
@@ -162,8 +179,7 @@ class _Recorder:
         i = int(np.argmin(y))
         if y[i] < self.best_y:
             self.best_y = float(y[i])
-            self.best_x = X[i].copy()
-            self.best_x.flags.writeable = False
+            self.best_x = X[i]
         self.batch = (X, y, start - self.clock, end - start)
         self.clock = end
         return y

@@ -37,8 +37,10 @@ class EvaluationError(RuntimeError):
 _SQUARED_DIAGONAL_MARGIN = 4.0
 
 
-def _frozen_array(values, dtype=float):
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values):
+    """A read-only float copy of ``values``, which stay the caller's and
+    writable."""
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
 
@@ -142,14 +144,16 @@ class EvalDataset:
     """Ordered collection of evaluated pairs ``(x_j, y_j)``.
 
     Insertion order is preserved so iteration provenance is recoverable.
+    ``X`` and ``y`` are the dataset's own read-only copies of the arrays it
+    is built from, which stay the caller's and writable.
     """
 
     X: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        y = np.atleast_1d(np.asarray(self.y, dtype=float))
+        X = _frozen_array(np.atleast_2d(self.X))
+        y = _frozen_array(np.atleast_1d(self.y))
         if X.ndim != 2:
             raise ValueError("X must be a 2-D array of shape (n, d)")
         if y.shape != (X.shape[0],):
@@ -158,10 +162,6 @@ class EvalDataset:
             raise ValueError("points must be finite")
         if y.size and not np.all(np.isfinite(y)):
             raise ValueError("responses must be finite")
-        X = X.copy()
-        y = y.copy()
-        X.setflags(write=False)
-        y.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import multiquadric_factor, multiquadric_matrix, row_blocks
-from .problem import BoxDomain, EvalDataset
+from .problem import BoxDomain, EvalDataset, _frozen_array
 
 # 1e-8 .. 1e2, log-spaced, 11 points.
 DEFAULT_LAMBDA_GRID = tuple(float(10.0**k) for k in range(-8, 3))
@@ -46,7 +46,11 @@ MC_VALUES_PER_POINT = 16
 
 @dataclass(frozen=True)
 class RbfSurrogate:
-    """Fitted multiquadric model; centers live in unit-cube coordinates."""
+    """Fitted multiquadric model; centers live in unit-cube coordinates.
+
+    ``centers`` and ``coefficients`` are the model's own read-only copies of
+    the arrays it is built from, which stay the caller's and writable.
+    """
 
     centers: np.ndarray
     coefficients: np.ndarray
@@ -55,16 +59,14 @@ class RbfSurrogate:
     norm_record: BoxDomain
 
     def __post_init__(self):
-        centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
-        coefficients = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
+        centers = _frozen_array(np.atleast_2d(self.centers))
+        coefficients = _frozen_array(np.atleast_1d(self.coefficients))
         if coefficients.shape != (centers.shape[0],):
             raise ValueError("one coefficient per center required")
         if self.gamma > 0:
             raise ValueError("gamma must be non-positive")
         if self.lam < 0:
             raise ValueError("lambda must be non-negative")
-        centers.setflags(write=False)
-        coefficients.setflags(write=False)
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "coefficients", coefficients)
 

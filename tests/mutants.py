@@ -151,6 +151,28 @@ MUTANTS = [
         "    for problem in map(make_benchmark, _problem_names(spec)):\n",
         ["tests/test_cli.py::TestModelError::test_every_problem_name_is_checked_before_any_trial"],
     ),
+    # Freezing copies: the evaluator's batch, the logged responses, and a
+    # model's arrays are read-only copies, and the caller's stay writable.
+    Mutant(
+        "batch left unfrozen before the barrier", ENGINE,
+        "        X = _frozen_array(np.atleast_2d(X))\n",
+        "        X = np.atleast_2d(np.asarray(X, dtype=float))\n",
+        ["tests/test_engine.py::test_an_evaluator_that_writes_to_its_batch_fails_and_changes_nothing"],
+    ),
+    Mutant(
+        "responses left unfrozen", ENGINE,
+        "        y = _frozen_array(np.atleast_1d(y))\n",
+        "        y = np.atleast_1d(np.asarray(y, dtype=float))\n",
+        ["tests/test_engine.py::test_a_reused_output_buffer_logs_each_batch_as_evaluated"],
+    ),
+    Mutant(
+        "RbfSurrogate freezes the caller's centres in place", SURROGATE,
+        "        centers = _frozen_array(np.atleast_2d(self.centers))\n",
+        "        centers = np.atleast_2d(np.asarray(self.centers, dtype=float))\n"
+        "        centers.setflags(write=False)\n",
+        ["tests/test_surrogate.py::TestPredict::"
+         "test_holds_read_only_copies_and_leaves_the_callers_arrays_writable"],
+    ),
 ]
 
 

@@ -1,3 +1,4 @@
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +20,7 @@ from prosrs.problem import (
     default_config,
     stream_seedseq,
 )
-from prosrs.zoomtree import EVENT_DOE, EVENT_NORMAL, EVENT_RESTART
+from prosrs.zoomtree import EVENT_DOE, EVENT_NORMAL, EVENT_RESTART, ZoomTree
 
 
 def sphere_objective(d=2):
@@ -287,6 +288,90 @@ def test_a_given_evaluator_is_called_even_when_it_is_falsy(runner):
     objective = Objective(2, BoxDomain(np.full(2, -1.0), np.ones(2)), unevaluable)
     result = runner(objective, default_config(2, 2, n_iterations=3), evaluator)
     assert evaluator.calls == len(result.logs) > 0
+
+
+def sum_of_squares(x):
+    return float(np.sum(np.square(x)))
+
+
+def sum_of_squares_objective():
+    return Objective(2, BoxDomain(np.full(2, -1.0), np.ones(2)), sum_of_squares)
+
+
+def test_a_recorder_with_the_default_evaluator_pickles():
+    rec = engine._Recorder(sum_of_squares_objective(), default_config(2, 2), None)
+    copy = pickle.loads(pickle.dumps(rec))
+    X = np.array([[0.1, -0.7], [0.3, 0.9], [-1.0, 0.25]])
+    assert copy.evaluate(X).tobytes() == rec.evaluate(X).tobytes()
+
+
+class ReusedBuffer:
+    """An evaluator that writes every batch's responses into one array and
+    returns that array each time."""
+
+    def __init__(self, n):
+        self.out = np.empty(n)
+
+    def __call__(self, X):
+        return np.sum(np.square(X), axis=1, out=self.out)
+
+
+@pytest.mark.parametrize("runner", [run_prosrs, run_random_search])
+def test_a_reused_output_buffer_logs_each_batch_as_evaluated(runner):
+    cfg = default_config(2, 2, n_iterations=5, seed=0)
+    fresh = runner(sum_of_squares_objective(), cfg, lambda X: np.sum(np.square(X), axis=1))
+    reused = runner(sum_of_squares_objective(), cfg, ReusedBuffer(2))
+    assert len(fresh.logs) == (7 if runner is run_prosrs else 5)
+    assert logs_equal(reused.logs, fresh.logs)
+    for a, b in zip(reused.logs, fresh.logs):
+        np.testing.assert_array_equal(a.best_x_so_far, b.best_x_so_far)
+
+
+def test_an_evaluator_that_writes_to_its_batch_fails_and_changes_nothing(monkeypatch):
+    # The fourth barrier's evaluator writes to its batch, which is read-only:
+    # the run stops there with the first three rows, and the tree records
+    # nothing of the fourth batch.
+    cfg = default_config(2, 2, n_iterations=5, seed=0)
+    clean = run_prosrs(sum_of_squares_objective(), cfg)
+    trees, before = [], []
+
+    class RecordedTree(ZoomTree):
+        def __init__(self, *args):
+            super().__init__(*args)
+            trees.append(self)
+
+    def writes_fourth_batch(X):
+        before.append((trees[0].archive, trees[0].data))
+        if len(before) == 4:
+            X[0, 0] = 0.0
+        return np.sum(np.square(X), axis=1)
+
+    monkeypatch.setattr(engine, "ZoomTree", RecordedTree)
+    with pytest.raises(EvaluationError, match="read-only") as err:
+        run_prosrs(sum_of_squares_objective(), cfg, writes_fourth_batch)
+    assert logs_equal(err.value.logs, clean.logs[:3])
+    archive, data = before[-1]
+    assert trees[0].archive is archive and trees[0].data is data
+    np.testing.assert_array_equal(
+        trees[0].archive.X, np.vstack([log.proposed_x for log in clean.logs[:3]])
+    )
+
+
+@pytest.mark.parametrize("runner", [run_prosrs, run_random_search])
+def test_logged_arrays_are_read_only_and_the_best_point_is_a_row_of_its_batch(runner):
+    problem = make_benchmark("Dropwave2")
+    cfg = default_config(2, 2, n_iterations=40, seed=3)
+    logs = runner(benchmark_objective(problem, 3), cfg).logs
+    improvements = 0
+    for previous, log in zip([None] + logs, logs):
+        for array in (log.proposed_x, log.proposed_y, log.best_x_so_far):
+            assert not array.flags.writeable
+        if previous is None or log.best_y_so_far < previous.best_y_so_far:
+            improvements += 1
+            assert np.shares_memory(log.best_x_so_far, log.proposed_x)
+        else:
+            assert log.best_x_so_far is previous.best_x_so_far
+    assert 1 < improvements < len(logs)
 
 
 class TestRandomSearch:

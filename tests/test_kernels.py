@@ -15,6 +15,7 @@ from prosrs.benchmarks import BenchmarkProblem
 from prosrs.cli import model_error_trial
 from prosrs.engine import run_prosrs
 from prosrs.problem import BoxDomain, EvaluationError, Objective, default_config
+from prosrs.surrogate import RbfSurrogate, predict_batch
 
 
 class TestPublicWrappers:
@@ -77,6 +78,61 @@ class TestMultiquadricProduct:
             _kernels.update_min_dists(np.full(t, np.inf), pts, ref),
             _kernels.min_dists(pts, ref[None]),
         )
+
+
+def layouts(a):
+    """``a`` in C order, in Fortran order, and as every other row of a stack
+    twice as long."""
+    return (a, np.asfortranarray(a), np.repeat(a, 2, axis=0)[::2])
+
+
+class TestInputLayouts:
+    """The kernels read their inputs as given, copying nothing, and give the
+    same bits whatever the inputs' layout."""
+
+    def test_multiquadric_matrix(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.uniform(size=(70, 6)), rng.uniform(size=(13, 6))
+        want = _kernels.multiquadric_matrix(a, b).tobytes()
+        for x in layouts(a):
+            for y in layouts(b):
+                assert _kernels.multiquadric_matrix(x, y).tobytes() == want
+                q = _kernels.multiquadric_factor(y)
+                assert _kernels.multiquadric_matrix(x, q=q).tobytes() == want
+
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_update_min_dists(self, d):
+        # The new point as (d,), as (1, d), and as a strided (1, d) view.
+        rng = np.random.default_rng(d)
+        points, new_ref = rng.uniform(size=(500, d)), rng.uniform(size=d)
+        current = rng.uniform(0.0, 0.5, size=500)
+        kept = current.copy()
+        want = _kernels.update_min_dists(current, points, new_ref).tobytes()
+        for p in layouts(points):
+            for c in (current, np.repeat(current, 2)[::2]):
+                for ref in (new_ref, new_ref[None], np.repeat(new_ref[None], 2, axis=0)[::2]):
+                    assert _kernels.update_min_dists(c, p, ref).tobytes() == want
+        assert current.tobytes() == kept.tobytes()
+
+    def test_predict_batch_values_unit_rows_and_nearest_distances(self):
+        # 40 centres put 3264 rows in a block, so 7000 rows span three.
+        rng = np.random.default_rng(5)
+        domain = BoxDomain(np.array([-2.0, 0.0, 1.0]), np.array([3.0, 0.5, 9.0]))
+        centers, coefficients = rng.uniform(size=(40, 3)), rng.normal(size=40)
+        X = domain.sample_uniform(7000, rng)
+
+        def score(centers, X):
+            model = RbfSurrogate(centers, coefficients, 0.0, 0.0, domain)
+            unit, nearest = np.empty(X.shape), np.empty(len(X))
+            g = predict_batch(model, X, unit=unit, nearest=nearest)
+            assert predict_batch(model, X).tobytes() == g.tobytes()
+            return [g.tobytes(), unit.tobytes(), nearest.tobytes()]
+
+        with _kernels.one_blas_thread():
+            want = score(centers, X)
+            for c in layouts(centers):
+                for x in layouts(X):
+                    assert score(c, x) == want
 
 
 def cdist_rows(a, b):

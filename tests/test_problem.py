@@ -186,6 +186,15 @@ class TestEvalDataset:
         data = EvalDataset(np.empty((0, 4)), np.empty(0))
         assert len(data) == 0 and data.dim == 4
 
+    def test_holds_read_only_copies_and_leaves_the_callers_arrays_writable(self):
+        X, y = np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([4.0, 5.0])
+        data = EvalDataset(X, y)
+        assert X.flags.writeable and y.flags.writeable
+        assert not data.X.flags.writeable and not data.y.flags.writeable
+        X[0, 0], y[0] = 9.0, 9.0
+        np.testing.assert_array_equal(data.X, [[0.0, 1.0], [2.0, 3.0]])
+        np.testing.assert_array_equal(data.y, [4.0, 5.0])
+
 
 class TestExploitState:
     def test_validation(self):

@@ -102,6 +102,15 @@ class TestPredict:
             atol=1e-12,
         )
 
+    def test_holds_read_only_copies_and_leaves_the_callers_arrays_writable(self):
+        centers, coefficients = np.array([[0.2, 0.4], [0.6, 0.8]]), np.array([1.0, -2.0])
+        m = RbfSurrogate(centers, coefficients, 0.0, 0.0, unit_box(2))
+        assert centers.flags.writeable and coefficients.flags.writeable
+        assert not m.centers.flags.writeable and not m.coefficients.flags.writeable
+        centers[0, 0], coefficients[0] = 9.0, 9.0
+        np.testing.assert_array_equal(m.centers, [[0.2, 0.4], [0.6, 0.8]])
+        np.testing.assert_array_equal(m.coefficients, [1.0, -2.0])
+
     def test_dimension_mismatch(self):
         m = self.model([[0.4]], [2.0])
         with pytest.raises(ValueError):
