@@ -20,8 +20,6 @@ from .engine import (
     RunResult,
     run_prosrs,
     run_random_search,
-    serial_evaluator,
-    threaded_evaluator,
 )
 from .problem import (
     BoxDomain,
@@ -77,7 +75,5 @@ __all__ = [
     "run_prosrs",
     "run_random_search",
     "select_batch",
-    "serial_evaluator",
-    "threaded_evaluator",
     "weight_pattern",
 ]

@@ -17,7 +17,6 @@ same run for a seed.
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,21 +268,12 @@ class NoisyBatchEvaluator:
 
 
 def benchmark_objective(problem: BenchmarkProblem, seed: int) -> Objective:
-    """Wrap a benchmark as an Objective that evaluates one point at a time.
+    """Wrap a benchmark as an Objective whose batches evaluate through one
+    ``NoisyBatchEvaluator`` on the run's "noise" stream for ``seed``.
 
-    Its noise is the run's "noise" stream for ``seed``, drawn through one
-    locked ``NoisyBatchEvaluator``: a run through this objective alone gives
-    the same values as a run through ``NoisyBatchEvaluator(problem,
-    stream_seedseq(seed, "noise"))``. That holds under the serial evaluator
-    only. The noise is drawn in call order, so under ``threaded_evaluator``
-    each draw goes to whichever point takes the lock first, and a run's
-    results can differ from one call to the next.
+    A run through this objective alone gives the same values as a run
+    through ``NoisyBatchEvaluator(problem, stream_seedseq(seed, "noise"))``
+    given as its evaluator: the objective holds that evaluator. It pickles,
+    with the state of its noise stream.
     """
-    evaluator = NoisyBatchEvaluator(problem, stream_seedseq(seed, "noise"))
-    lock = threading.Lock()
-
-    def evaluate(x):
-        with lock:
-            return float(evaluator(x)[0])
-
-    return Objective(problem.dimension, problem.domain, evaluate)
+    return Objective(problem.domain, NoisyBatchEvaluator(problem, stream_seedseq(seed, "noise")))

@@ -216,12 +216,12 @@ def _aggregate_rows(per_run_rows):
 def _run_repeat(spec: ExperimentSpec, problem_name: str, seed: int):
     """Run one (problem, seed) repeat and return what its files hold.
 
-    The run evaluates through the problem's Objective alone, one point at a
-    time under the runner's serial evaluator: for a benchmark that is
-    ``benchmark_objective(problem, seed)``, whose noise is the seed's "noise"
-    stream, and its objective column is the true mean of the best point so
-    far; a plug-in is its own Objective, and its objective column is the best
-    noisy response.
+    The run evaluates each batch through the problem's Objective alone: for a
+    benchmark that is ``benchmark_objective(problem, seed)``, one
+    ``true_mean`` call a batch, with noise from the seed's "noise" stream,
+    and its objective column is the true mean of the best point so far; a
+    plug-in is its own Objective, and its objective column is the best noisy
+    response.
 
     With wall times (``spec.timing`` "real") the summary holds
     ``late_over_early_median_ratio``, the ``cost_ratio`` of the loop rows'

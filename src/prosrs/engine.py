@@ -14,10 +14,11 @@ holds every one since the last restart, and ``tree.data``, the current
 node's data, is that archive restricted to the node's box. Runs are
 bit-reproducible given the seed and a deterministic evaluator.
 
-Evaluators own the parallelism: they take a read-only (k, d) batch and
-return k values in order. Both runners set a run up in one place, their recorder: it checks
-the objective against the config and holds the run's evaluator (the
-objective's serial evaluator unless one is given) and its generator streams,
+A run evaluates each batch through one callable: the objective's own
+``evaluate``, or an evaluator given in its place. Either takes a read-only
+(k, d) batch and returns k values in order, and owns any parallelism. Both
+runners set a run up in one place, their recorder: it checks the objective
+against the config and holds the run's evaluator and its generator streams,
 derived from the config's seed. Its one clock splits the wall time into the
 evaluation barriers and the algorithm's time between them, so algorithm cost
 can be profiled independently of the objective's cost.
@@ -25,7 +26,6 @@ can be profiled independently of the objective's cost.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -95,37 +95,12 @@ class RunResult:
     n_evaluations: int
 
 
-def _evaluate_serially(objective: Objective, X) -> np.ndarray:
-    return np.array([objective.eval(x) for x in np.atleast_2d(X)], dtype=float)
-
-
-def serial_evaluator(objective: Objective) -> Callable:
-    """Evaluate a batch one point at a time through ``objective.eval``.
-
-    The evaluator is a ``functools.partial`` of a module-level function, so
-    it pickles whenever the objective does, and a recorder that holds it too.
-    """
-    return functools.partial(_evaluate_serially, objective)
-
-
-def threaded_evaluator(objective: Objective, max_workers: int | None = None) -> Callable:
-    """Evaluate a batch concurrently; order of results matches the batch."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    def evaluate(X):
-        X = np.atleast_2d(X)
-        with ThreadPoolExecutor(max_workers=max_workers or len(X)) as pool:
-            return np.fromiter(pool.map(objective.eval, X), dtype=float, count=len(X))
-
-    return evaluate
-
-
 class _Recorder:
     """A run's setup and every measured fact of its logged batches.
 
     Made at the start of a run, it checks that the objective and the config
-    agree on the dimension, and holds the run's evaluator (the objective's
-    serial evaluator when none is given) and its generator streams
+    agree on the dimension, and holds the run's evaluator
+    (``objective.evaluate`` when none is given) and its generator streams
     (``derive_streams(config.seed)``). It then owns the log list, the global
     best, the evaluation count, and one clock. The clock starts when the
     recorder is made and restarts when each evaluation barrier ends.
@@ -142,7 +117,7 @@ class _Recorder:
             raise ValueError(
                 f"objective dimension {objective.dimension} does not match config dim {config.dim}"
             )
-        self.evaluator = serial_evaluator(objective) if evaluator is None else evaluator
+        self.evaluator = objective.evaluate if evaluator is None else evaluator
         self.rngs = derive_streams(config.seed)
         self.logs = []
         self.best_x = None

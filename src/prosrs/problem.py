@@ -7,6 +7,7 @@ immutable value objects and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -286,22 +287,34 @@ def default_config(d: int, n_par: int, **overrides) -> RunConfig:
     return RunConfig(**{**derived, **overrides})
 
 
+def _evaluate_pointwise(f, X) -> np.ndarray:
+    return np.array([f(x) for x in X], dtype=float)
+
+
 @dataclass(frozen=True)
 class Objective:
     """A noisy black-box objective over a box domain.
 
-    ``eval`` maps a point inside ``domain`` to a noisy response and must
-    tolerate concurrent invocation for distinct points. Behavior outside the
-    domain is unspecified and never exercised by the engine.
+    ``evaluate`` maps a read-only (k, d) batch of points inside ``domain`` to
+    its k responses, in order; it must not write to the batch. Behavior
+    outside the domain is unspecified and never exercised by the engine.
+    ``Objective.pointwise`` makes one from a function of one point.
     """
 
-    dimension: int
     domain: BoxDomain
-    eval: Callable[[np.ndarray], float]
+    evaluate: Callable[[np.ndarray], np.ndarray]
 
-    def __post_init__(self):
-        if self.dimension != self.domain.dim:
-            raise ValueError("objective dimension does not match its domain")
+    @property
+    def dimension(self) -> int:
+        """The domain's dimension, read-only."""
+        return self.domain.dim
+
+    @classmethod
+    def pointwise(cls, domain: BoxDomain, f: Callable[[np.ndarray], float]) -> "Objective":
+        """The objective that evaluates a batch one point at a time through
+        ``f``, in row order. Its ``evaluate`` is a ``functools.partial`` of a
+        module-level loop, so the objective pickles whenever ``f`` does."""
+        return cls(domain, functools.partial(_evaluate_pointwise, f))
 
 
 # Names of the independent generator streams one master seed fans out into.

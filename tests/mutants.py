@@ -134,9 +134,25 @@ MUTANTS = [
     ),
     Mutant(
         "a falsy evaluator is replaced", ENGINE,
-        "serial_evaluator(objective) if evaluator is None else evaluator",
-        "evaluator or serial_evaluator(objective)",
+        "objective.evaluate if evaluator is None else evaluator",
+        "evaluator or objective.evaluate",
         ["tests/test_engine.py::test_a_given_evaluator_is_called_even_when_it_is_falsy"],
+    ),
+    # One evaluation contract: a benchmark's objective draws the run's noise
+    # stream, and a pointwise objective calls its function on the rows in order.
+    Mutant(
+        "benchmark noise from the cv stream", "src/prosrs/benchmarks.py",
+        "return Objective(problem.domain, "
+        'NoisyBatchEvaluator(problem, stream_seedseq(seed, "noise")))',
+        "return Objective(problem.domain, "
+        'NoisyBatchEvaluator(problem, stream_seedseq(seed, "cv")))',
+        ["tests/test_golden.py::test_cli_output_trees_are_unchanged"],
+    ),
+    Mutant(
+        "pointwise calls its function on the rows in reverse", "src/prosrs/problem.py",
+        "    return np.array([f(x) for x in X], dtype=float)\n",
+        "    return np.array([f(x) for x in X[::-1]][::-1], dtype=float)\n",
+        ["tests/test_engine.py::test_pointwise_gives_the_serial_loops_bits_on_a_plugin"],
     ),
     Mutant(
         "no up-front --problem check (optimize, bench-suite)", "src/prosrs/cli.py",

@@ -1,22 +1,25 @@
 """Plug-in objective factories used by the CLI tests."""
 
+from functools import partial
+
 import numpy as np
 
 from prosrs.problem import BoxDomain, Objective
 
+DOMAIN = BoxDomain(np.array([-1.0]), np.array([1.0]))
+
+
+def noisy_quadratic(rng, x):
+    """(x - 0.3)^2 plus noise from ``rng``, drawn in call order."""
+    return float((x[0] - 0.3) ** 2 + 0.01 * rng.standard_normal())
+
 
 def quadratic(seed):
-    dom = BoxDomain(np.array([-1.0]), np.array([1.0]))
-    rng = np.random.default_rng(seed)
-
-    def noisy(x):
-        return float((x[0] - 0.3) ** 2 + 0.01 * rng.standard_normal())
-
-    return Objective(1, dom, noisy)
+    """A plug-in that pickles: its point function is a module-level one."""
+    return Objective.pointwise(DOMAIN, partial(noisy_quadratic, np.random.default_rng(seed)))
 
 
 def broken(seed):
-    dom = BoxDomain(np.array([-1.0]), np.array([1.0]))
     calls = {"n": 0}
 
     def evaluate(x):
@@ -25,16 +28,14 @@ def broken(seed):
             return float("nan")
         return float(x[0] ** 2)
 
-    return Objective(1, dom, evaluate)
+    return Objective.pointwise(DOMAIN, evaluate)
 
 
 def unevaluable(seed):
-    dom = BoxDomain(np.array([-1.0]), np.array([1.0]))
-
     def evaluate(x):
         raise RuntimeError("this objective must not be evaluated")
 
-    return Objective(1, dom, evaluate)
+    return Objective.pointwise(DOMAIN, evaluate)
 
 
 def broken_at_seed_1(seed):

@@ -15,7 +15,6 @@ from selection_oracle import oracle_select
 
 from prosrs.benchmarks import (
     BenchmarkProblem,
-    NoisyBatchEvaluator,
     benchmark_objective,
     make_benchmark,
 )
@@ -26,7 +25,6 @@ from prosrs.problem import (
     EvalDataset,
     ExploitState,
     default_config,
-    stream_seedseq,
 )
 from prosrs.srs import select_batch
 from prosrs.surrogate import RbfSurrogate, fit_rbf, predict_batch
@@ -44,11 +42,7 @@ def report(num, desc, ok, detail=""):
 def benchmark_run(problem, algo, seed, n_par, n_iterations):
     cfg = default_config(problem.dimension, n_par, n_iterations=n_iterations, seed=seed)
     runner = run_prosrs if algo == "prosrs" else run_random_search
-    return runner(
-        benchmark_objective(problem, seed),
-        cfg,
-        NoisyBatchEvaluator(problem, stream_seedseq(seed, "noise")),
-    )
+    return runner(benchmark_objective(problem, seed), cfg)
 
 
 def test_criterion_01_zoom_level_bound():

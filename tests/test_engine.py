@@ -1,31 +1,27 @@
 import pickle
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import plugin_objectives
 from prosrs import engine
-from prosrs.benchmarks import NoisyBatchEvaluator, benchmark_objective, make_benchmark
-from prosrs.engine import (
-    run_prosrs,
-    run_random_search,
-    serial_evaluator,
-    threaded_evaluator,
-)
+from prosrs.benchmarks import benchmark_objective, make_benchmark
+from prosrs.engine import run_prosrs, run_random_search
 from prosrs.problem import (
     BoxDomain,
     EvaluationError,
     ExploitState,
     Objective,
     default_config,
-    stream_seedseq,
 )
 from prosrs.zoomtree import EVENT_DOE, EVENT_NORMAL, EVENT_RESTART, ZoomTree
 
 
 def sphere_objective(d=2):
     dom = BoxDomain(np.full(d, -1.0), np.full(d, 1.0))
-    return Objective(d, dom, lambda x: float(np.sum(np.asarray(x) ** 2)))
+    return Objective.pointwise(dom, lambda x: float(np.sum(np.asarray(x) ** 2)))
 
 
 def logs_equal(a, b):
@@ -83,7 +79,7 @@ class TestRunProsrs:
         # are errors here).
         def scaled(s):
             dom = BoxDomain(np.full(2, -1.0), np.full(2, 1.0))
-            return Objective(2, dom, lambda x: s * float(np.sum(np.asarray(x) ** 2)))
+            return Objective.pointwise(dom, lambda x: s * float(np.sum(np.asarray(x) ** 2)))
 
         cfg = default_config(2, 4, n_iterations=40, seed=0)
         base = run_prosrs(scaled(1.0), cfg)
@@ -102,7 +98,7 @@ class TestRunProsrs:
         obj = sphere_objective()
         cfg = default_config(2, 4, n_iterations=12, seed=5)
         count = {"n": 0}
-        inner = serial_evaluator(obj)
+        inner = obj.evaluate
 
         def counting(X):
             count["n"] += len(np.atleast_2d(X))
@@ -124,11 +120,7 @@ class TestRunProsrs:
         # Noisy camel with enough iterations to restart at least once.
         problem = make_benchmark("SixHumpCamel2")
         cfg = default_config(2, 4, n_iterations=80, seed=3)
-        result = run_prosrs(
-            benchmark_objective(problem, 3),
-            cfg,
-            NoisyBatchEvaluator(problem, stream_seedseq(3, "noise")),
-        )
+        result = run_prosrs(benchmark_objective(problem, 3), cfg)
         restarts = sum(log.event == EVENT_RESTART for log in result.logs)
         doe_in_loop = sum(
             log.event == EVENT_DOE and log.iteration >= 1 for log in result.logs
@@ -144,11 +136,7 @@ class TestRunProsrs:
         # record still reflects the whole run.
         problem = make_benchmark("SixHumpCamel2")
         cfg = default_config(2, 4, n_iterations=80, seed=3)
-        result = run_prosrs(
-            benchmark_objective(problem, 3),
-            cfg,
-            NoisyBatchEvaluator(problem, stream_seedseq(3, "noise")),
-        )
+        result = run_prosrs(benchmark_objective(problem, 3), cfg)
         events = [log.event for log in result.logs]
         i_restart = events.index(EVENT_RESTART)
         after = result.logs[i_restart + 1]
@@ -166,11 +154,7 @@ class TestRunProsrs:
             10, 2, n_iterations=20, seed=0, rho=0.05, c_fail=1,
             s_init=ExploitState(0.0, 0.05, 0.1), sigma_crit=0.06, n_candidates_per_dim=50,
         )
-        result = run_prosrs(
-            benchmark_objective(problem, 0),
-            cfg,
-            NoisyBatchEvaluator(problem, stream_seedseq(0, "noise")),
-        )
+        result = run_prosrs(benchmark_objective(problem, 0), cfg)
         assert any(log.event == EVENT_RESTART for log in result.logs)
         assert sum(log.iteration >= 1 for log in result.logs) == cfg.n_iterations
 
@@ -181,7 +165,7 @@ class TestRunProsrs:
         # and the run restarts instead.
         lo = np.full(2, 1e9)
         dom = BoxDomain(lo, lo + 1e-6)
-        obj = Objective(2, dom, lambda x: float(np.sum((np.asarray(x) - lo) ** 2)))
+        obj = Objective.pointwise(dom, lambda x: float(np.sum((np.asarray(x) - lo) ** 2)))
         result = run_prosrs(obj, default_config(2, n_par, n_iterations=40, seed=0))
         assert any(log.event == EVENT_RESTART for log in result.logs)
         assert sum(log.iteration >= 1 for log in result.logs) == 40
@@ -194,7 +178,7 @@ class TestRunProsrs:
         # (warnings are errors).
         side = 0.999 * np.sqrt(np.finfo(float).max / (4.0 * 2))
         dom = BoxDomain(np.full(2, -side / 2), np.full(2, side / 2))
-        obj = Objective(2, dom, lambda x: float(np.sum(np.asarray(x)) / side))
+        obj = Objective.pointwise(dom, lambda x: float(np.sum(np.asarray(x)) / side))
         cfg = default_config(2, 2, n_iterations=3, seed=0)
         result = run_prosrs(obj, cfg)
         assert result.n_evaluations == cfg.m_doe + 3 * cfg.n_par
@@ -247,13 +231,6 @@ class TestRunProsrs:
         with pytest.raises(EvaluationError, match=r"shape \(4, 1\) .* expected \(4,\)"):
             run_prosrs(obj, cfg, lambda X: np.zeros((len(np.atleast_2d(X)), 1)))
 
-    def test_threaded_evaluator_matches_serial(self):
-        obj = sphere_objective()
-        cfg = default_config(2, 4, n_iterations=8, seed=11)
-        a = run_prosrs(obj, cfg, serial_evaluator(obj))
-        b = run_prosrs(obj, cfg, threaded_evaluator(obj, max_workers=4))
-        assert logs_equal(a.logs, b.logs)
-
     def test_best_trajectory_tracks_running_min(self):
         obj = sphere_objective()
         cfg = default_config(2, 4, n_iterations=10, seed=4)
@@ -264,13 +241,13 @@ class TestRunProsrs:
         assert np.array_equal(xs[-1], result.x_best)
         assert all(b2 <= b1 for b1, b2 in zip(ys, ys[1:]))
         for x, y in zip(xs, ys):
-            assert obj.eval(x) == y  # noiseless objective
+            assert obj.evaluate(x[None, :]).tolist() == [y]  # noiseless objective
 
 
 @pytest.mark.parametrize("runner", [run_prosrs, run_random_search])
 def test_a_given_evaluator_is_called_even_when_it_is_falsy(runner):
-    # A callable whose len() is 0 is still the evaluator: the default serial
-    # evaluator, which would call the objective, is taken only for None.
+    # A callable whose len() is 0 is still the evaluator: the objective's own
+    # evaluate, which would raise here, is taken only for None.
     class Falsy:
         calls = 0
 
@@ -285,7 +262,7 @@ def test_a_given_evaluator_is_called_even_when_it_is_falsy(runner):
         raise AssertionError("the objective must not be evaluated")
 
     evaluator = Falsy()
-    objective = Objective(2, BoxDomain(np.full(2, -1.0), np.ones(2)), unevaluable)
+    objective = Objective.pointwise(BoxDomain(np.full(2, -1.0), np.ones(2)), unevaluable)
     result = runner(objective, default_config(2, 2, n_iterations=3), evaluator)
     assert evaluator.calls == len(result.logs) > 0
 
@@ -295,7 +272,7 @@ def sum_of_squares(x):
 
 
 def sum_of_squares_objective():
-    return Objective(2, BoxDomain(np.full(2, -1.0), np.ones(2)), sum_of_squares)
+    return Objective.pointwise(BoxDomain(np.full(2, -1.0), np.ones(2)), sum_of_squares)
 
 
 def test_a_recorder_with_the_default_evaluator_pickles():
@@ -303,6 +280,33 @@ def test_a_recorder_with_the_default_evaluator_pickles():
     copy = pickle.loads(pickle.dumps(rec))
     X = np.array([[0.1, -0.7], [0.3, 0.9], [-1.0, 0.25]])
     assert copy.evaluate(X).tobytes() == rec.evaluate(X).tobytes()
+
+
+def test_a_recorder_over_a_benchmark_objective_pickles():
+    # The copy carries the noise stream's state after the first batch.
+    objective = benchmark_objective(make_benchmark("Dropwave2"), 3)
+    rec = engine._Recorder(objective, default_config(2, 2), None)
+    rec.evaluate(np.array([[0.5, 0.5]]))
+    copy = pickle.loads(pickle.dumps(rec))
+    X = np.array([[0.1, -0.7], [0.3, 0.9], [-1.0, 0.25]])
+    assert copy.evaluate(X).tobytes() == rec.evaluate(X).tobytes()
+
+
+def serial_loop(f):
+    """The serial evaluator that ``Objective.pointwise`` replaces: ``f`` on
+    each row of the batch, in order."""
+    return lambda X: np.array([f(x) for x in np.atleast_2d(X)], dtype=float)
+
+
+def test_pointwise_gives_the_serial_loops_bits_on_a_plugin():
+    # The plug-in draws its noise from one generator in call order, so a
+    # point evaluated out of turn takes another point's draw.
+    cfg = default_config(1, 4, n_iterations=20, seed=0)
+    pointwise = run_prosrs(plugin_objectives.quadratic(0), cfg)
+    f = partial(plugin_objectives.noisy_quadratic, np.random.default_rng(0))
+    serial = run_prosrs(plugin_objectives.quadratic(0), cfg, serial_loop(f))
+    assert logs_equal(pointwise.logs, serial.logs)
+    assert pointwise.y_best == serial.y_best
 
 
 class ReusedBuffer:
@@ -394,7 +398,7 @@ class TestRandomSearch:
         # Minimum of 1000 uniforms on [0, 1] is below 0.01 with probability
         # 1 - 0.99^1000 ~ 0.99996; over 100 fixed seeds at least 99 must hit.
         dom = BoxDomain(np.array([0.0]), np.array([1.0]))
-        obj = Objective(1, dom, lambda x: float(x[0]))
+        obj = Objective.pointwise(dom, lambda x: float(x[0]))
         hits = 0
         for seed in range(100):
             cfg = default_config(1, 1, n_iterations=1000, seed=seed)
@@ -409,7 +413,7 @@ class TestRandomSearch:
 
         cfg = default_config(1, 2, n_iterations=0)
         with pytest.raises(ValueError, match="n_iterations"):
-            run_random_search(Objective(1, dom, evaluate), cfg)
+            run_random_search(Objective.pointwise(dom, evaluate), cfg)
 
     def test_points_stay_inside_domain(self):
         obj = sphere_objective(3)
@@ -460,7 +464,7 @@ def test_rows_carry_the_running_best_point(runner):
         return np.floor(4.0 * problem.true_mean(X)) / 4.0
 
     with pytest.raises(EvaluationError) as err:
-        runner(Objective(2, problem.domain, lambda x: 0.0), cfg, quarters_then_fail)
+        runner(Objective.pointwise(problem.domain, lambda x: 0.0), cfg, quarters_then_fail)
     logs = err.value.logs
     assert len(logs) == 9
     ys = np.concatenate([log.proposed_y for log in logs])
@@ -484,13 +488,12 @@ class FakeClock:
         return now
 
     def evaluator(self, objective, seconds):
-        """``serial_evaluator(objective)``, taking ``seconds`` per batch."""
-        serial = serial_evaluator(objective)
+        """``objective.evaluate``, taking ``seconds`` per batch."""
 
         def evaluate(X):
             self.now += seconds
             self.barrier_ends.append(self.now)
-            return serial(X)
+            return objective.evaluate(X)
 
         return evaluate
 

@@ -30,7 +30,7 @@ import numpy as np
 import prosrs
 from prosrs import cli, engine
 from prosrs.benchmarks import BENCHMARK_NAMES
-from prosrs.problem import default_config, derive_streams, stream_seedseq
+from prosrs.problem import default_config, derive_streams
 
 GOLDEN = Path(__file__).parent / "golden" / "fingerprint.json"
 CLI_TREE = Path(__file__).parent / "golden" / "cli_tree.json"
@@ -91,7 +91,6 @@ def run_fingerprint(
 ) -> dict:
     problem = prosrs.make_benchmark(name)
     objective = prosrs.benchmark_objective(problem, seed)
-    evaluator = prosrs.NoisyBatchEvaluator(problem, stream_seedseq(seed, "noise"))
     config = prosrs.default_config(
         objective.dimension, n_par, n_iterations=iterations, seed=seed, **overrides
     )
@@ -105,7 +104,7 @@ def run_fingerprint(
     fit_rbf = engine.fit_rbf
     engine.fit_rbf = recording_fit
     try:
-        logs = prosrs.run_prosrs(objective, config, evaluator).logs
+        logs = prosrs.run_prosrs(objective, config).logs
     finally:
         engine.fit_rbf = fit_rbf
     return {

@@ -54,7 +54,7 @@ def run_configs(draw):
 def test_run_invariants_hold_on_degenerate_objectives(config, landscape):
     d = config.dim
     domain = BoxDomain(np.full(d, -1.0), np.full(d, 2.0))
-    objective = Objective(d, domain, LANDSCAPES[landscape])
+    objective = Objective.pointwise(domain, LANDSCAPES[landscape])
     # Every batch passes through ZoomTree.advance, at the node that took it.
     # Hypothesis refuses function-scoped fixtures, so the patch is made here.
     advance = ZoomTree.advance

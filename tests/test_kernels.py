@@ -352,7 +352,7 @@ def sphere(seen):
         seen.append(blas_counts())
         return np.sum(np.atleast_2d(X) ** 2, axis=1)
 
-    return Objective(2, BoxDomain(-np.ones(2), np.ones(2)), lambda x: 0.0), evaluate
+    return Objective.pointwise(BoxDomain(-np.ones(2), np.ones(2)), lambda x: 0.0), evaluate
 
 
 def constant_problem(true_mean):

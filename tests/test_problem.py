@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import fields, replace
 
 import numpy as np
@@ -329,10 +330,28 @@ class TestDefaultConfig:
                 default_config(2, 1, s_init=s_init)
 
 
+def half_sum_of_squares(x):
+    return 0.5 * float(x @ x)
+
+
 class TestObjective:
-    def test_dimension_must_match_domain(self):
-        with pytest.raises(ValueError):
-            Objective(3, unit_square(), lambda x: 0.0)
+    X = np.array([[0.1, 0.7], [0.9, 0.2], [0.4, 0.4]])
+
+    def test_dimension_is_the_domains(self):
+        domain = BoxDomain(np.zeros(3), np.ones(3))
+        assert Objective.pointwise(domain, half_sum_of_squares).dimension == 3
+        with pytest.raises(AttributeError):
+            Objective.pointwise(domain, half_sum_of_squares).dimension = 2
+
+    def test_pointwise_evaluates_each_row_in_order(self):
+        y = Objective.pointwise(unit_square(), half_sum_of_squares).evaluate(self.X)
+        assert y.dtype == float
+        assert y.tolist() == [half_sum_of_squares(x) for x in self.X]
+
+    def test_pointwise_over_a_module_level_function_pickles(self):
+        objective = Objective.pointwise(unit_square(), half_sum_of_squares)
+        copy = pickle.loads(pickle.dumps(objective))
+        assert copy.evaluate(self.X).tobytes() == objective.evaluate(self.X).tobytes()
 
 
 class TestStreams:

@@ -21,12 +21,9 @@ import numpy as np
 
 import prosrs
 from prosrs import cli
-from prosrs.problem import stream_seedseq
-
 problem = prosrs.make_benchmark("Ackley10")
 config = prosrs.default_config(10, 4, n_iterations=3, seed=1)
-evaluator = prosrs.NoisyBatchEvaluator(problem, stream_seedseq(1, "noise"))
-logs = prosrs.run_prosrs(prosrs.benchmark_objective(problem, 1), config, evaluator).logs
+logs = prosrs.run_prosrs(prosrs.benchmark_objective(problem, 1), config).logs
 assert len(logs) == 4, len(logs)
 design = prosrs.latin_hypercube_maximin(12, problem.domain, np.random.default_rng(0))
 assert design.shape == (12, 10), design.shape
